@@ -115,16 +115,29 @@ let run () =
      fingerprint referee. *)
   let ops = P.Portfolio.churn big.portfolio ~seed:(seed + 1) ~ops:churn_ops in
   let touched = ref 0 in
-  let samples =
-    Array.of_list
-      (List.map
-         (fun op ->
-            let t0 = Unix.gettimeofday () in
-            touched := !touched + P.Delta.apply big.state op;
-            Unix.gettimeofday () -. t0)
-         ops)
+  let timed =
+    List.map
+      (fun op ->
+         let t0 = Unix.gettimeofday () in
+         touched := !touched + P.Delta.apply big.state op;
+         (P.Portfolio.op_name op, Unix.gettimeofday () -. t0))
+      ops
   in
-  Array.sort compare samples;
+  let sorted l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a
+  in
+  let samples = sorted (List.map snd timed) in
+  (* Per-kind medians: on 200 ops a p99 is the 2nd-slowest sample, a
+     median is robust. *)
+  let kind_p50_ms k =
+    match List.filter (fun (k', _) -> k' = k) timed with
+    | [] -> failwith ("E19: no " ^ k ^ " op in the churn")
+    | l -> 1e3 *. percentile (sorted (List.map snd l)) 0.50
+  in
+  let add_p50_ms = kind_p50_ms "add-site"
+  and remove_p50_ms = kind_p50_ms "remove-site" in
   let p99_ms = 1e3 *. percentile samples 0.99 in
   let final = P.Portfolio.apply_all big.portfolio ops in
   let t0 = Unix.gettimeofday () in
@@ -138,6 +151,8 @@ let run () =
     big.n churn_ops;
   Printf.printf "  delta p50 / p99      %.4f / %.4f ms\n"
     (1e3 *. percentile samples 0.50) p99_ms;
+  Printf.printf "  add / remove p50     %.4f / %.4f ms\n" add_p50_ms
+    remove_p50_ms;
   Printf.printf "  mean VRFs touched    %.1f\n"
     (float_of_int !touched /. float_of_int churn_ops);
   Printf.printf "  full recompile       %.1f ms\n" full_ms;
@@ -157,5 +172,7 @@ let run () =
   g "e19.converge.p99_ms" p99_ms;
   g "e19.converge.full_ms" full_ms;
   g "e19.converge.speedup" speedup;
+  g "e19.delta.add_p50_ms" add_p50_ms;
+  g "e19.delta.remove_p50_ms" remove_p50_ms;
   g "e19.delta.touched_mean"
     (float_of_int !touched /. float_of_int churn_ops)

@@ -3,15 +3,15 @@ type mechanism = Directory | Flooded
 type t = {
   mechanism : mechanism;
   pe_count : int;
-  mutable sites : Site.t list;  (* reverse join order *)
-  by_id : (int, Site.t) Hashtbl.t;
+  by_id : (int, int * Site.t) Hashtbl.t;  (* id -> join rank, site *)
+  mutable next_rank : int;
   vpn_sizes : (int, int) Hashtbl.t;  (* vpn -> live member count *)
   pe_sizes : (int, int) Hashtbl.t;  (* pe -> attached member count *)
   mutable messages : int;
 }
 
 let create ?(mechanism = Directory) ~pe_count () =
-  { mechanism; pe_count; sites = []; by_id = Hashtbl.create 64;
+  { mechanism; pe_count; by_id = Hashtbl.create 64; next_rank = 0;
     vpn_sizes = Hashtbl.create 16; pe_sizes = Hashtbl.create 16;
     messages = 0 }
 
@@ -21,13 +21,16 @@ let bump tbl k d =
   let n = size tbl k + d in
   if n <= 0 then Hashtbl.remove tbl k else Hashtbl.replace tbl k n
 
+(* Join order is rebuilt from the unique ranks; no list for [leave] to walk. *)
 let members t ~vpn =
-  List.rev (List.filter (fun (s : Site.t) -> s.Site.vpn = vpn) t.sites)
+  Hashtbl.fold (fun _ m acc -> if (snd m).Site.vpn = vpn then m :: acc else acc)
+    t.by_id []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b) |> List.map snd
 
-(* The join itself is O(1): dup check, notification cost and the per-PE
+(* Join and leave are O(1): dup check, notification cost and the per-PE
    attachment count all come from the index tables, never from a walk
-   of the member list — mass provisioning (100k+ sites, E19) joins in
-   linear total time. *)
+   of the members — mass provisioning (100k+ sites, E19) joins in
+   linear total time, and churn at that scale pays per site touched. *)
 let join_one t (site : Site.t) =
   let cost =
     match t.mechanism with
@@ -40,16 +43,16 @@ let join_one t (site : Site.t) =
       t.pe_count
   in
   t.messages <- t.messages + cost;
-  t.sites <- site :: t.sites;
-  Hashtbl.replace t.by_id site.Site.id site;
+  Hashtbl.replace t.by_id site.Site.id (t.next_rank, site);
+  t.next_rank <- t.next_rank + 1;
   bump t.vpn_sizes site.Site.vpn 1;
   bump t.pe_sizes site.Site.pe_node 1
 
+let duplicate id =
+  invalid_arg (Printf.sprintf "Membership.join: site %d already a member" id)
+
 let reject_member t (site : Site.t) =
-  if Hashtbl.mem t.by_id site.Site.id then
-    invalid_arg
-      (Printf.sprintf "Membership.join: site %d already a member"
-         site.Site.id)
+  if Hashtbl.mem t.by_id site.Site.id then duplicate site.Site.id
 
 let join t site =
   reject_member t site;
@@ -62,10 +65,7 @@ let join_all t sites =
   List.iter
     (fun (site : Site.t) ->
        reject_member t site;
-       if Hashtbl.mem seen site.Site.id then
-         invalid_arg
-           (Printf.sprintf "Membership.join: site %d already a member"
-              site.Site.id);
+       if Hashtbl.mem seen site.Site.id then duplicate site.Site.id;
        Hashtbl.replace seen site.Site.id ())
     sites;
   List.iter (join_one t) sites
@@ -73,8 +73,7 @@ let join_all t sites =
 let leave t ~site_id =
   match Hashtbl.find_opt t.by_id site_id with
   | None -> false
-  | Some site ->
-    t.sites <- List.filter (fun (s : Site.t) -> s.Site.id <> site_id) t.sites;
+  | Some (_, site) ->
     Hashtbl.remove t.by_id site_id;
     bump t.vpn_sizes site.Site.vpn (-1);
     bump t.pe_sizes site.Site.pe_node (-1);

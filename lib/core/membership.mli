@@ -19,7 +19,7 @@ type t
 val create : ?mechanism:mechanism -> pe_count:int -> unit -> t
 
 val join : t -> Site.t -> unit
-(** @raise Invalid_argument if the site id is already a member. *)
+(** O(1). @raise Invalid_argument if the site id is already a member. *)
 
 val join_all : t -> Site.t list -> unit
 (** Bulk join for mass provisioning, in list order. The notification
@@ -31,15 +31,21 @@ val join_all : t -> Site.t list -> unit
     @raise Invalid_argument on the first duplicate site id. *)
 
 val leave : t -> site_id:int -> bool
-(** [false] if the site was not a member. *)
+(** [false] if the site was not a member. O(1) hashtable work whatever
+    the number of members; the notification bill is the join's mirror
+    ([Directory]: one deregistration plus one per remaining member of
+    the VPN; [Flooded]: one per PE). *)
 
 val members : t -> vpn:int -> Site.t list
-(** Sites of one VPN, in join order. *)
+(** Sites of one VPN, in join order (a site that leaves and rejoins
+    moves to the end). O(members · log) — rebuilt from join ranks on
+    each call, so it is for tests and small-scale discovery, not the
+    churn path. *)
 
 val discover : t -> asking:Site.t -> Site.t list
-(** What a member may learn: its own VPN's other members, never anyone
-    else's (the isolation property, enforced by construction and
-    verified by tests). *)
+(** What a member may learn: its own VPN's other members, in join
+    order, never anyone else's (the isolation property, enforced by
+    construction and verified by tests). Same cost as {!members}. *)
 
 val vpn_ids : t -> int list
 

@@ -78,6 +78,8 @@ type t = {
   vrfs : (int, vrf) Hashtbl.t;  (* vrf_key -> vrf *)
   groups : (int, group) Hashtbl.t;  (* group_key -> group *)
   rt_groups : (int, int list) Hashtbl.t;  (* rt_value -> importing groups *)
+  rt_routes : (int, int array) Hashtbl.t;
+      (* rt_value -> live route ids exporting it, sorted *)
   site_route : (int, int) Hashtbl.t;  (* gsid -> interned route id *)
   site_info : (int, Site.t * Service.role) Hashtbl.t;
   lsps : (int, int) Hashtbl.t;  (* (ingress lsl 8) lor egress -> refcount *)
@@ -122,6 +124,26 @@ let lsp_decr t ~ingress ~egress =
 let groups_importing t (rt : Mpbgp.rt) =
   Option.value ~default:[] (Hashtbl.find_opt t.rt_groups rt.Mpbgp.rt_value)
 
+let exporting t (rt : Mpbgp.rt) =
+  Option.value ~default:[||] (Hashtbl.find_opt t.rt_routes rt.Mpbgp.rt_value)
+
+let set_exporting t (rt : Mpbgp.rt) ids =
+  if Array.length ids = 0 then Hashtbl.remove t.rt_routes rt.Mpbgp.rt_value
+  else Hashtbl.replace t.rt_routes rt.Mpbgp.rt_value ids
+
+(* A group's table is every live route exporting one of its imports;
+   with a single import it is the RT's own array, shared. *)
+let fill_group t g =
+  g.g_routes <-
+    (match g.g_import with
+     | [rt] -> exporting t rt
+     | rts ->
+       Array.of_list
+         (List.sort_uniq Int.compare
+            (List.concat_map (fun rt -> Array.to_list (exporting t rt)) rts)))
+
+(* A new group starts from the routes already exported on its imports
+   (a group re-created by an incremental add must see them). *)
 let ensure_group t (c : cust) role =
   let k = group_key c.c_id role in
   match Hashtbl.find_opt t.groups k with
@@ -131,6 +153,7 @@ let ensure_group t (c : cust) role =
       Service.import_rts t.pool ~topology:c.c_topology ~customer:c.c_id ~role
     in
     let g = { g_key = k; g_import = imports; g_pes = []; g_routes = [||] } in
+    fill_group t g;
     Hashtbl.replace t.groups k g;
     List.iter
       (fun (rt : Mpbgp.rt) ->
@@ -190,6 +213,8 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
         site = gsid }
   in
   v.v_locals <- ins_sorted gsid v.v_locals;
+  List.iter (fun rt -> set_exporting t rt (arr_insert (exporting t rt) id))
+    v.v_export;
   Hashtbl.replace t.site_route gsid id;
   Hashtbl.replace t.site_info gsid (site, spec.Service.role);
   (site, id)
@@ -204,6 +229,7 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
       vrfs = Hashtbl.create 1024;
       groups = Hashtbl.create 512;
       rt_groups = Hashtbl.create 512;
+      rt_routes = Hashtbl.create 512;
       site_route = Hashtbl.create 1024;
       site_info = Hashtbl.create 1024;
       lsps = Hashtbl.create 256 }
@@ -233,24 +259,8 @@ let compile ?mode (p : Portfolio.t) =
     p.Portfolio.customers;
   Membership.join_all t.membership (List.rev !sites);
   ignore (Mpbgp.run t.bgp);
-  (* Fill the shared group tables in one pass over the interned store:
-     a route lands in every group importing one of its export RTs. *)
-  let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-  Mpbgp.iter_exported t.bgp (fun id (r : Mpbgp.vpnv4_route) ->
-      List.iter
-        (fun rt ->
-           List.iter
-             (fun gk ->
-                match Hashtbl.find_opt buckets gk with
-                | Some l -> l := id :: !l
-                | None -> Hashtbl.replace buckets gk (ref [id]))
-             (groups_importing t rt))
-        r.Mpbgp.export_rts);
-  Hashtbl.iter
-    (fun gk l ->
-       let g = Hashtbl.find t.groups gk in
-       g.g_routes <- Array.of_list (List.sort_uniq Int.compare !l))
-    buckets;
+  (* Groups created early in the batch missed later routes: refill. *)
+  Hashtbl.iter (fun _ g -> fill_group t g) t.groups;
   (* Transport LSPs: one refcount per (member VRF, remote route). *)
   Hashtbl.iter
     (fun _ g ->
@@ -310,13 +320,14 @@ let decommission_site t ~customer ~sid =
   let id = Hashtbl.find t.site_route gsid in
   let r = route_exn t id in
   ignore (Membership.leave t.membership ~site_id:gsid);
-  ignore (Mpbgp.withdraw_site t.bgp ~pe:site.Site.pe_node ~site:gsid);
+  ignore (Mpbgp.withdraw t.bgp id);
   ignore (Mpbgp.run t.bgp);
   let touched = ref 1 in
-  (* Prune the route from every group that imported it, dropping the
-     LSP references its readers held. *)
+  (* Prune the route from the RT index and every group that imported it,
+     dropping the LSP references its readers held. *)
   List.iter
-    (fun rt ->
+    (fun (rt : Mpbgp.rt) ->
+       set_exporting t rt (arr_remove (exporting t rt) id);
        List.iter
          (fun gk ->
             let g = Hashtbl.find t.groups gk in

@@ -127,27 +127,37 @@ let export t route =
 
 let export_route t route = ignore (export t route)
 
-let withdraw_site t ~pe ~site =
-  let s = get_pe t pe in
-  let victims =
-    Hashtbl.fold
-      (fun k id acc ->
-         match t.store.(id) with
-         | Some r when r.site = site -> (k, id) :: acc
-         | _ -> acc)
-      s.exported []
-  in
-  List.iter
-    (fun (k, id) ->
-       Hashtbl.remove s.exported k;
-       match Hashtbl.find_opt t.pending id with
+let find_route t id =
+  if id < 0 || id >= t.next_id then None else t.store.(id)
+
+(* O(1): the key is recomputed from the interned record, so nothing
+   scans the owner's exports. *)
+let withdraw t id =
+  match find_route t id with
+  | None -> false
+  | Some r ->
+    let s = get_pe t r.next_hop_pe in
+    let k = key_of r in
+    if Hashtbl.find_opt s.exported k <> Some id then false
+    else begin
+      Hashtbl.remove s.exported k;
+      (match Hashtbl.find_opt t.pending id with
        | Some New ->
          (* Announced and retracted between runs: nobody ever saw it. *)
          Hashtbl.remove t.pending id;
          t.store.(id) <- None
-       | _ -> Hashtbl.replace t.pending id Retract)
-    victims;
-  List.length victims
+       | _ -> Hashtbl.replace t.pending id Retract);
+      true
+    end
+
+let withdraw_site t ~pe ~site =
+  Hashtbl.fold
+    (fun _ id acc ->
+       match t.store.(id) with
+       | Some r when r.site = site -> id :: acc
+       | _ -> acc)
+    (get_pe t pe).exported []
+  |> List.fold_left (fun n id -> if withdraw t id then n + 1 else n) 0
 
 (* Who receives an announcement from [src] under the session mode:
    full mesh sends to every other PE; with a route reflector, clients
@@ -212,9 +222,6 @@ let run t =
     entries;
   t.messages <- t.messages + !sent;
   !sent
-
-let find_route t id =
-  if id < 0 || id >= t.next_id then None else t.store.(id)
 
 let iter_exported t f =
   List.iter

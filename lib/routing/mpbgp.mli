@@ -76,9 +76,20 @@ val iter_exported : t -> (int -> vpnv4_route -> unit) -> unit
 (** Every live announcement in the system with its interned id, in no
     particular order. *)
 
+val withdraw : t -> int -> bool
+(** Withdraw one announcement by its interned id (as returned by
+    {!export}). O(1): the owner's export key is recomputed from the
+    interned record, so no table is scanned. The retraction is
+    journaled for the next {!run}, which sends one withdrawal per PE
+    that received the route; a route withdrawn before any {!run} saw it
+    is freed on the spot and costs no message. [false] if the id is not
+    a live announcement (never allocated, or already withdrawn). *)
+
 val withdraw_site : t -> pe:int -> site:int -> int
 (** Withdraw every route a PE exported for a site (a site leaving the
-    VPN); returns how many were withdrawn. *)
+    VPN) through {!withdraw}; returns how many were withdrawn. Scans
+    the PE's exports — when the route id is at hand, {!withdraw} is
+    the O(1) path. *)
 
 val run : t -> int
 (** Propagate announcements/withdrawals to every PE; returns the number

@@ -85,6 +85,41 @@ let test_membership_join_all_message_parity () =
   Alcotest.(check int) "nothing joined" 0 (Membership.site_count m);
   Alcotest.(check int) "nothing billed" 0 (Membership.messages m)
 
+(* The rank-indexed registry keeps the list contract: join order
+   survives a mid-list leave, a rejoin moves to the end. *)
+let test_membership_join_order () =
+  let m = Membership.create ~pe_count:4 () in
+  let s id vpn = mk_site ~id ~vpn ~prefix:"10.0.0.0/16" ~ce:(10 + id) ~pe:0 in
+  List.iter (Membership.join m) [s 1 1; s 2 1; s 9 2; s 3 1; s 4 1];
+  let ids vpn = List.map (fun x -> x.Site.id) (Membership.members m ~vpn) in
+  Alcotest.(check (list int)) "join order" [1; 2; 3; 4] (ids 1);
+  Alcotest.(check bool) "mid-list leave" true (Membership.leave m ~site_id:2);
+  Alcotest.(check (list int)) "order kept" [1; 3; 4] (ids 1);
+  Membership.join m (s 2 1);
+  Alcotest.(check (list int)) "rejoin goes last" [1; 3; 4; 2] (ids 1);
+  Alcotest.(check (list int)) "other vpn untouched" [9] (ids 2);
+  Alcotest.(check (list int)) "discover hides other VPNs" [1; 4; 2]
+    (List.map (fun x -> x.Site.id) (Membership.discover m ~asking:(s 3 1)))
+
+let test_membership_leave_bill () =
+  let bill mechanism =
+    let m = Membership.create ~mechanism ~pe_count:10 () in
+    for i = 1 to 5 do
+      Membership.join m
+        (mk_site ~id:i ~vpn:(1 + (i mod 2)) ~prefix:"10.0.0.0/16"
+           ~ce:(10 + i) ~pe:0)
+    done;
+    let m0 = Membership.messages m in
+    (* VPN 2 holds sites 1, 3, 5: leaving 3 deregisters and notifies the
+       two who remain; a second leave of the same site is free. *)
+    ignore (Membership.leave m ~site_id:3);
+    ignore (Membership.leave m ~site_id:3);
+    Membership.messages m - m0
+  in
+  Alcotest.(check int) "directory: 1 + remaining members" 3
+    (bill Membership.Directory);
+  Alcotest.(check int) "flooded: one per PE" 10 (bill Membership.Flooded)
+
 (* --- Vrf ------------------------------------------------------------------ *)
 
 let test_vrf_overlapping_isolation () =
@@ -1814,7 +1849,10 @@ let () =
          Alcotest.test_case "mechanism costs" `Quick
            test_membership_mechanism_costs;
          Alcotest.test_case "join_all message parity" `Quick
-           test_membership_join_all_message_parity ]);
+           test_membership_join_all_message_parity;
+         Alcotest.test_case "join order survives leave" `Quick
+           test_membership_join_order;
+         Alcotest.test_case "leave bill" `Quick test_membership_leave_bill ]);
       ("vrf",
        [ Alcotest.test_case "overlapping isolation" `Quick
            test_vrf_overlapping_isolation ]);

@@ -169,6 +169,61 @@ let test_delta_converges_under_route_reflector () =
   Alcotest.(check bool) "RR mode converges too" true
     (Delta.validate t (Delta.oracle ~mode p ops))
 
+(* A group torn down with its last VRF and re-created by a later add
+   must be back-filled with the routes already exported on its imports:
+   here the spoke group loses its only member, and the next spoke must
+   still see the hub. *)
+let test_delta_recreated_group_backfills () =
+  let p =
+    Portfolio.of_customers ~pe_count:4 ~seed:0
+      [ cust 1 Service.Hub_spoke Service.Silver
+          [ site 0 2 Service.Hub; site 1 1 Service.Spoke ] ]
+  in
+  let t = Compile.compile p in
+  let ops =
+    [ Portfolio.Remove_site { customer = 1; sid = 1 };
+      Portfolio.Add_site { customer = 1; sid = 1; pe = 0 } ]
+  in
+  ignore (Delta.apply_all t ops);
+  Alcotest.(check (list int)) "new spoke sees the hub"
+    [gsid ~customer:1 ~sid:0]
+    (table_sites t ~pe:0 ~customer:1 ~role:Service.Spoke);
+  Alcotest.(check bool) "matches the oracle" true
+    (Delta.validate t (Delta.oracle p ops))
+
+(* Removal pays for the sites it touches, not for the portfolio: the
+   same small VPN's site leaves a 200- and a 2,000-customer portfolio
+   for about the same allocation (minor words are deterministic, unlike
+   a clock). A whole-membership walk would scale the bill ~10x. *)
+let test_remove_cost_independent_of_portfolio () =
+  let remove_words customers =
+    let p = Portfolio.generate ~seed:5 ~customers () in
+    let t = Compile.compile p in
+    (* Customers are drawn per id, so the smallest of the first 200 is
+       the same VPN at both scales. *)
+    let small =
+      List.fold_left
+        (fun (best : Service.customer) id ->
+           let c = Portfolio.customer p id in
+           if List.length c.Service.sites < List.length best.Service.sites
+           then c else best)
+        (Portfolio.customer p 1) (List.init 200 (fun i -> i + 1))
+    in
+    let op =
+      Portfolio.Remove_site
+        { customer = small.Service.id;
+          sid = (List.hd small.Service.sites).Service.sid }
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Delta.apply t op);
+    Gc.minor_words () -. w0
+  in
+  let w_small = remove_words 200 and w_big = remove_words 2000 in
+  if w_big > 2.0 *. w_small then
+    Alcotest.failf
+      "removal allocates %.0f words at 2000 customers vs %.0f at 200" w_big
+      w_small
+
 let prop_random_interleavings_converge =
   QCheck.Test.make ~name:"random delta interleavings converge to the oracle"
     ~count:40
@@ -247,4 +302,8 @@ let () =
            test_delta_converges_to_oracle;
          Alcotest.test_case "converges under RR" `Quick
            test_delta_converges_under_route_reflector;
+         Alcotest.test_case "re-created group back-fills" `Quick
+           test_delta_recreated_group_backfills;
+         Alcotest.test_case "remove cost independent of portfolio size"
+           `Quick test_remove_cost_independent_of_portfolio;
          qt prop_random_interleavings_converge ]) ]

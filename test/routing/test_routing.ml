@@ -465,6 +465,41 @@ let test_mpbgp_withdraw () =
   Alcotest.(check int) "gone at pe2" 0
     (List.length (Mpbgp.import m ~pe:2 ~import_rts:[rt 1]))
 
+let test_mpbgp_withdraw_by_id () =
+  let route = vpn_route ~site:7 ~rd:(rd 1) ~pe:1 ~label:100 ~rts:[rt 1] in
+  (* Announced and withdrawn between runs: nobody ever saw it. *)
+  let m = Mpbgp.create () in
+  List.iter (Mpbgp.add_pe m) [1; 2; 3];
+  let id = Mpbgp.export m (route "10.0.0.0/16") in
+  Alcotest.(check bool) "withdrawn" true (Mpbgp.withdraw m id);
+  Alcotest.(check int) "no messages" 0 (Mpbgp.run m);
+  Alcotest.(check bool) "slot freed" true (Mpbgp.find_route m id = None);
+  Alcotest.(check int) "no routes" 0 (Mpbgp.total_routes m);
+  (* After a run: one retraction per PE that received it. *)
+  let m = Mpbgp.create () in
+  List.iter (Mpbgp.add_pe m) [1; 2; 3];
+  let id = Mpbgp.export m (route "10.0.0.0/16") in
+  let keep = Mpbgp.export m (route "10.1.0.0/16") in
+  ignore (Mpbgp.run m);
+  Alcotest.(check bool) "withdrawn" true (Mpbgp.withdraw m id);
+  Alcotest.(check bool) "second withdraw" false (Mpbgp.withdraw m id);
+  Alcotest.(check bool) "unknown id" false (Mpbgp.withdraw m 999);
+  Alcotest.(check int) "one retraction per receiving PE" 2 (Mpbgp.run m);
+  List.iter
+    (fun pe ->
+       Alcotest.(check (list int)) "only the survivor imported" [keep]
+         (Mpbgp.import_ids m ~pe ~import_rts:[rt 1]))
+    [2; 3];
+  Alcotest.(check bool) "gone after run" false (Mpbgp.withdraw m id);
+  (* withdraw_site folds over withdraw and counts. *)
+  ignore (Mpbgp.export m (route "10.2.0.0/16"));
+  ignore (Mpbgp.run m);
+  Alcotest.(check int) "withdraw_site count" 2
+    (Mpbgp.withdraw_site m ~pe:1 ~site:7);
+  ignore (Mpbgp.run m);
+  Alcotest.(check int) "imports empty" 0
+    (List.length (Mpbgp.import m ~pe:2 ~import_rts:[rt 1]))
+
 let test_mpbgp_session_counts () =
   let mesh = Mpbgp.create () in
   List.iter (Mpbgp.add_pe mesh) [1; 2; 3; 4; 5];
@@ -542,6 +577,7 @@ let () =
          Alcotest.test_case "overlapping prefixes" `Quick
            test_mpbgp_overlapping_prefixes;
          Alcotest.test_case "withdraw" `Quick test_mpbgp_withdraw;
+         Alcotest.test_case "withdraw by id" `Quick test_mpbgp_withdraw_by_id;
          Alcotest.test_case "session counts" `Quick
            test_mpbgp_session_counts;
          Alcotest.test_case "route reflector" `Quick

@@ -332,7 +332,8 @@ dune exec bench/main.exe -- --only E19 > /dev/null
 ./_build/default/tools/json_lint.exe --require-schema < BENCH_telemetry.json
 for g in e19.sites e19.routes e19.vrfs e19.state.routes_per_pe \
          e19.state.growth e19.mem.bytes_per_route e19.converge.p99_ms \
-         e19.converge.full_ms e19.converge.speedup; do
+         e19.converge.full_ms e19.converge.speedup e19.delta.add_p50_ms \
+         e19.delta.remove_p50_ms; do
   grep -q "\"$g\"" BENCH_telemetry.json || {
     echo "missing provisioning gauge $g in BENCH_telemetry.json" >&2
     exit 1
@@ -350,11 +351,27 @@ awk -v r="$e19_routes" 'BEGIN { exit !(r+0 >= 100000) }' || {
 echo "== incremental convergence gate (e19.converge.speedup >= 10)"
 # A single delta at 10k VPNs must converge at least 10x faster (p99)
 # than a from-scratch recompile of the same portfolio; measured
-# headroom is ~50x, gated at 10x to absorb scheduling noise.
+# headroom is ~35,000x, gated at 10x to absorb scheduling noise.
 e19_speedup=$(grep -o '"e19\.converge\.speedup":[0-9.eE+-]*' \
   BENCH_telemetry.json | cut -d: -f2)
 awk -v s="$e19_speedup" 'BEGIN { exit !(s+0 >= 10) }' || {
   echo "incremental convergence too slow: ${e19_speedup}x < 10x" >&2
+  exit 1
+}
+
+echo "== removal cost gate (e19.delta.remove_p50_ms <= 5 x add_p50_ms)"
+# Removing a site must cost about what adding one does (both are
+# O(touched VRFs)); a per-member list rebuild or per-PE export scan on
+# the removal path once made it ~170x. Same-process medians over the
+# 200-op churn, so host speed cancels out; 5x leaves room for timer
+# granularity at ~20 us per op (measured ~1x).
+e19_add=$(grep -o '"e19\.delta\.add_p50_ms":[0-9.eE+-]*' \
+  BENCH_telemetry.json | cut -d: -f2)
+e19_remove=$(grep -o '"e19\.delta\.remove_p50_ms":[0-9.eE+-]*' \
+  BENCH_telemetry.json | cut -d: -f2)
+awk -v a="$e19_add" -v r="$e19_remove" \
+  'BEGIN { exit !(a+0 > 0 && r+0 <= 5 * (a+0)) }' || {
+  echo "site removal too slow: p50 ${e19_remove} ms vs add ${e19_add} ms (> 5x)" >&2
   exit 1
 }
 
