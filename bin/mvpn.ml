@@ -705,71 +705,22 @@ let soak_cmd =
       audit_interval snapshot_interval segments fail_fast json =
     Telemetry.Registry.reset ();
     let duration = hours *. 3600.0 in
-    let horizon = duration +. 5.0 in
-    let deployment =
-      Scenario.Mpls_deployment
-        { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
-          use_te = false }
-    in
-    (* The fault plan is drawn once, here, and closed over by every
-       replica: topology-only faults (no uid-hash verdicts), so the
-       same storm is valid at any shard count. A throwaway build
-       supplies the node/link universe without touching telemetry. *)
-    let chaos_plan =
-      Option.map
-        (fun cseed ->
-           Telemetry.Control.with_disabled (fun () ->
-               let sc =
-                 Scenario.build ~pops ~vpns ~sites_per_vpn ~seed deployment
-               in
-               let nodes =
-                 Array.to_list (Backbone.pops (Scenario.backbone sc))
-               in
-               Mvpn_resilience.Chaos.random_topology_plan ~nodes
-                 ~rng:(Mvpn_sim.Rng.create cseed)
-                 ~links:(Scenario.core_links sc) ~duration ()))
-        chaos
-    in
-    (* Runs on every replica — sequential, or each shard — after the
-       timeline sampler and before the workload, in this exact order,
-       so event FIFO ranks match at every shard count. *)
-    let prepare sc =
-      let frr =
-        match (chaos, chaos_plan) with
-        | Some cseed, Some plan ->
-          let h =
-            Mvpn_resilience.Harness.arm ~plan ~frr:true ~fallback:true
-              ~seed:cseed ~duration sc
-          in
-          Mvpn_resilience.Harness.frr h
-        | _ -> None
-      in
-      (* Live per-replica conformance engine for the auditor's
-         budget-monotonicity check; violation events stay in a private
-         log. The reported SLO verdict still comes from the merged
-         fate replay, as everywhere else. *)
-      ignore
-        (Scenario.attach_slo
-           ~slo:(Telemetry.Slo.create
-                   ~events:(Telemetry.Event_log.create ()) ())
-           sc);
-      (* The span sampler attach_slo arms re-walks the trace ring per
-         sampled delivery — real money over an hours-long soak, and
-         nothing here reads the spans. *)
-      Mvpn_core.Network.set_span_sampler (Scenario.network sc) None;
-      ignore
-        (Mvpn_resilience.Audit.start ~interval:audit_interval
-           ~until:horizon ~fail_fast ?frr sc)
-    in
-    Telemetry.Control.enable ();
     let cfg =
       { Mvpn_par.Runner.default_config with
         shards = (if shards < 1 then 1 else shards);
         pops; vpns; sites_per_vpn; load; duration; seed;
         sample_interval = Some snapshot_interval;
-        prepare_replica = Some prepare;
         diurnal = Some segments }
     in
+    let storm =
+      Option.map
+        (fun cseed -> Mvpn_resilience.Soak.storm ~seed:cseed cfg)
+        chaos
+    in
+    let cfg =
+      Mvpn_resilience.Soak.arm ?storm ~audit:audit_interval ~fail_fast cfg
+    in
+    Telemetry.Control.enable ();
     let o =
       if shards <= 1 then Mvpn_par.Runner.run_sequential cfg
       else Mvpn_par.Runner.run_parallel cfg
@@ -805,11 +756,11 @@ let soak_cmd =
          \"load\":%s,\"segments\":%d,"
         Telemetry.Registry.schema_version (jf hours) (jf duration) seed
         (jf load) segments;
-      (match (chaos, chaos_plan) with
-       | Some cseed, Some plan ->
-         Printf.bprintf b "\"chaos\":{\"seed\":%d,\"plan\":%s},"
-           cseed (Mvpn_resilience.Chaos.plan_json plan)
-       | _ -> Buffer.add_string b "\"chaos\":null,");
+      (match storm with
+       | Some { seed = cseed; plan } ->
+         Printf.bprintf b "\"chaos\":{\"seed\":%d,\"plan\":%s}," cseed
+           (Mvpn_resilience.Chaos.plan_json plan)
+       | None -> Buffer.add_string b "\"chaos\":null,");
       Printf.bprintf b "\"delivered\":%d,\"dropped\":%d," o.delivered
         o.dropped;
       Printf.bprintf b "\"classes\":{%s},"
@@ -833,11 +784,11 @@ let soak_cmd =
       Printf.printf
         "soak: %.3g h simulated (%.6gs), seed %d, %d replica(s)\n" hours
         duration seed replicas;
-      (match (chaos, chaos_plan) with
-       | Some cseed, Some plan ->
+      (match storm with
+       | Some { seed = cseed; plan } ->
          Printf.printf "  chaos seed %d: %d topology faults\n" cseed
            (List.length plan)
-       | _ -> Printf.printf "  chaos: off\n");
+       | None -> Printf.printf "  chaos: off\n");
       Printf.printf "  delivered         %d\n  dropped           %d\n"
         o.delivered o.dropped;
       Printf.printf "  audit ticks       %d (interval %.3gs)\n" audit_ticks

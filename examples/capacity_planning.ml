@@ -11,6 +11,8 @@ open Mvpn_core
 module Engine = Mvpn_sim.Engine
 module Topology = Mvpn_sim.Topology
 module Rng = Mvpn_sim.Rng
+module Port = Mvpn_qos.Port
+module Queue_disc = Mvpn_qos.Queue_disc
 
 let () =
   Printf.printf "== Offline planning, then live monitoring ==\n\n";
@@ -45,11 +47,26 @@ let () =
   (* Static routes per demand path (the planning view made live). *)
   let spf = Planning.route_spf topo demands in
   ignore spf;
-  (* Find the busiest planned link and monitor every core link. *)
-  let link_ids =
-    List.map (fun (l : Topology.link) -> l.Topology.id) (Topology.links topo)
+  (* Monitor every core link: each 0.5 s sample keeps the per-link
+     peak utilization and peak queue backlog. *)
+  let links = Array.of_list (Topology.links topo) in
+  let peak_util = Array.make (Array.length links) 0.0 in
+  let peak_backlog = Array.make (Array.length links) 0 in
+  let stop_monitor =
+    Engine.periodic engine
+      ~kind:(Mvpn_sim.Profile.register_kind "example.monitor")
+      ~interval:0.5 (fun () ->
+          let now = Engine.now engine in
+          Array.iteri
+            (fun i (l : Topology.link) ->
+               let port = Network.port net ~link_id:l.Topology.id in
+               peak_util.(i) <-
+                 Float.max peak_util.(i) (Port.utilization port ~now);
+               peak_backlog.(i) <-
+                 max peak_backlog.(i)
+                   (Queue_disc.backlog_bytes (Port.qdisc port)))
+            links)
   in
-  let mon = Monitor.start ~interval:0.5 net ~link_ids in
   (* Drive traffic along each demand's shortest path using per-hop
      static routes toward a unique destination prefix per demand. *)
   let registry = Traffic.registry engine in
@@ -92,21 +109,16 @@ let () =
          ~rate_bps:d.Planning.bandwidth ~packet_bytes:1500 emit)
     demands;
   Engine.run ~until:10.0 engine;
-  Monitor.stop mon;
+  stop_monitor ();
   Printf.printf "\n  worst observed links (live, 0.5 s samples):\n";
-  List.iteri
-    (fun i (link_id, peak) ->
-       if i < 4 then begin
-         let l = Topology.link topo link_id in
-         Printf.printf "    %s -> %s  peak %.1f%%  max backlog %d B\n"
-           (Topology.node_name topo l.Topology.src)
-           (Topology.node_name topo l.Topology.dst)
-           (peak *. 100.0)
-           (int_of_float
-              (Mvpn_sim.Stats.Timeseries.max_value
-                 (Monitor.backlog_series mon ~link_id)))
-       end)
-    (Monitor.peak_utilization mon);
+  List.init (Array.length links) Fun.id
+  |> List.stable_sort (fun a b -> Float.compare peak_util.(b) peak_util.(a))
+  |> List.iteri (fun rank i ->
+      if rank < 4 then
+        Printf.printf "    %s -> %s  peak %.1f%%  max backlog %d B\n"
+          (Topology.node_name topo links.(i).Topology.src)
+          (Topology.node_name topo links.(i).Topology.dst)
+          (peak_util.(i) *. 100.0) peak_backlog.(i));
   Printf.printf
     "\nThe offline plan's hot spots are exactly where the live run\n\
      queues — the planning arithmetic is the monitoring arithmetic run\n\

@@ -56,8 +56,24 @@ type trace_event = {
 
 (* A reason's authoritative count lives in [n] (always on, per
    network); [metric] mirrors it into the registry so telemetry cannot
-   drift from the table when the global switch toggles mid-run. *)
-type drop_entry = { mutable n : int; metric : Telemetry.Counter.t }
+   drift from the table when the global switch toggles mid-run.
+   [mirrored] is the part of [n] already added to [metric]. *)
+type drop_entry = {
+  mutable n : int;
+  mutable mirrored : int;
+  metric : Telemetry.Counter.t;
+}
+
+(* Add the rows booked since the last mirror. A delta rather than a
+   [Counter.set], so a second network in one process adds to the
+   registry's totals instead of overwriting them. The mark advances
+   only when the write lands: rows booked while telemetry was off are
+   caught up by the next enabled mirror. *)
+let mirror e =
+  if !Telemetry.Control.enabled && e.n <> e.mirrored then begin
+    Telemetry.Counter.add e.metric (e.n - e.mirrored);
+    e.mirrored <- e.n
+  end
 
 (* Conservation ledger (always on, plain int stores): every packet the
    network has ever been handed is injected, imported from another
@@ -95,7 +111,7 @@ type t = {
      the switchover event fires once per failure episode, not once per
      packet; entries clear when the protected link comes back up. *)
   frr_engaged : (int * int, unit) Hashtbl.t;
-  mutable total_drops : int;
+  total_drops : drop_entry;  (* every reason; mirrored into net.drops *)
   mutable injected_n : int;
   mutable imported_n : int;
   mutable exported_n : int;
@@ -181,10 +197,8 @@ let flush_pending t =
   end;
   if t.drops_dirty then begin
     Telemetry.Control.with_enabled (fun () ->
-        Hashtbl.iter
-          (fun _ e -> Telemetry.Counter.set e.metric e.n)
-          t.drop_table;
-        Telemetry.Counter.set m_drops t.total_drops);
+        Hashtbl.iter (fun _ e -> mirror e) t.drop_table;
+        mirror t.total_drops);
     t.drops_dirty <- false
   end
 
@@ -273,8 +287,9 @@ let emit t ~node ?packet action =
 
 (* Single-source drop accounting: the per-network table is the
    authority; the [net.drop.<reason>] and [net.drops] telemetry
-   counters are set from it (never independently incremented), so they
-   agree with {!drop_counts} whenever telemetry is on. *)
+   counters are mirrored from it (never independently incremented), so
+   this network's share of them agrees with {!drop_counts} whenever
+   telemetry is on. *)
 (* Retire a packet from the live count, exactly once per incarnation:
    [fated] guards against terminal paths that compose (the default
    no-sink sink routes a delivery back through [drop]). *)
@@ -300,21 +315,22 @@ let drop ?(node = -1) ?packet t reason =
       | Some e -> e
       | None ->
         let e =
-          { n = 0; metric = Telemetry.Registry.counter ("net.drop." ^ reason) }
+          { n = 0; mirrored = 0;
+            metric = Telemetry.Registry.counter ("net.drop." ^ reason) }
         in
         Hashtbl.add t.drop_table reason e;
         e
     in
     e.n <- e.n + 1;
-    t.total_drops <- t.total_drops + 1;
+    t.total_drops.n <- t.total_drops.n + 1;
     (* The authoritative table row just advanced; mirror it into the
        registry now, or (inside a batch window) once at the flush. *)
     if Engine.in_batch t.engine then begin
       if !Telemetry.Control.enabled then t.drops_dirty <- true
     end
     else begin
-      Telemetry.Counter.set e.metric e.n;
-      Telemetry.Counter.set m_drops t.total_drops
+      mirror e;
+      mirror t.total_drops
     end
   end;
   record_hop t ~node ?packet ("drop:" ^ reason);
@@ -511,7 +527,7 @@ let note_consume t (p : Packet.t) =
 let flow_totals t =
   { injected = t.injected_n; imported = t.imported_n;
     exported = t.exported_n; forked = t.forked_n; consumed = t.consumed_n;
-    delivered = t.delivered_n; table_drops = t.total_drops;
+    delivered = t.delivered_n; table_drops = t.total_drops.n;
     unattributed = t.unattributed_n; live = t.live_n }
 
 let port_drop_total t =
@@ -555,7 +571,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
       sinks = Array.make nodes (fun _ -> ());
       drop_table = Hashtbl.create 16;
       frr_engaged = Hashtbl.create 8;
-      total_drops = 0;
+      total_drops = { n = 0; mirrored = 0; metric = m_drops };
       injected_n = 0; imported_n = 0; exported_n = 0; forked_n = 0;
       consumed_n = 0; delivered_n = 0; unattributed_n = 0; live_n = 0;
       drop_leak = 0;
@@ -632,4 +648,4 @@ let drop_counts t =
   Hashtbl.fold (fun k e acc -> (k, e.n) :: acc) t.drop_table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let drops t = t.total_drops
+let drops t = t.total_drops.n

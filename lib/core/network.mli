@@ -169,8 +169,10 @@ val install_fib : t -> int -> Mvpn_net.Fib.t -> unit
 val drop_counts : t -> (string * int) list
 (** Per-reason drop counters, sorted by reason. The per-network drop
     table is the single authority; the [net.drop.<reason>] and
-    [net.drops] telemetry counters mirror it (set, not independently
-    incremented), so the two views agree whenever telemetry is on. *)
+    [net.drops] telemetry counters mirror it (by the delta since the
+    last mirror, never independently incremented), so this network's
+    share of them agrees with the table whenever telemetry is on — also
+    after a toggle mid-run, and with other networks in the process. *)
 
 val drops : t -> int
 (** Total drops across all reasons (not counting port queue drops —

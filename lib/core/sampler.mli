@@ -1,5 +1,5 @@
-(** Streaming timeline sampler: a self-rescheduling engine event that
-    records bounded {!Mvpn_telemetry.Timeseries} points every
+(** Streaming timeline sampler: an {!Mvpn_sim.Engine.periodic} series
+    (kind [telemetry.sample]) that records bounded {!Mvpn_telemetry.Timeseries} points every
     [interval] sim-seconds — per-core-link utilization
     ([ts.link.<id>.util]), per-band queue depth and drop deltas
     ([ts.band.<b>.depth_pkts] / [.drops]), per-(vpn, band) good/bad
@@ -21,9 +21,10 @@ val default_interval : float
 (** 1 s of simulated time. *)
 
 val start : ?interval:float -> ?until:float -> Scenario.t -> t
-(** Register the series (idempotent) and schedule the first tick at
-    [interval]; each tick re-schedules the next until [until] (default
-    unbounded) or {!stop}. Arm before the run starts.
+(** Register the series (idempotent) and schedule the ticks with
+    {!Mvpn_sim.Engine.periodic}: the first at [interval], then every
+    [interval] until [until] (default unbounded) or {!stop}. Arm before
+    the run starts.
     @raise Invalid_argument on a non-finite or non-positive interval
     (a silent runaway self-reschedule otherwise) or a negative/NaN
     [until]. *)

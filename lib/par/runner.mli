@@ -48,8 +48,9 @@ type config = {
   prepare_replica : (Mvpn_core.Scenario.t -> unit) option;
       (** run on every replica — the sequential scenario, and each
           shard's — after the timeline sampler is armed and before the
-          workload: the soak driver's hook for arming chaos storms and
-          the invariant auditor identically everywhere. Must schedule
+          workload: the hook {!Mvpn_resilience.Soak.arm} fills to arm
+          chaos storms and the invariant auditor identically
+          everywhere. Must schedule
           the same events in the same order on every replica (e.g.
           {!Mvpn_resilience.Chaos.random_topology_plan}-based storms,
           never uid-dependent faults), or determinism across shard
@@ -60,6 +61,9 @@ type config = {
           day/night load envelope peaking at [load], in [segments]
           windows over [duration] (default [None]) *)
 }
+
+val horizon_of : config -> float
+(** Where every replica engine stops: [duration] plus 5 s of drain. *)
 
 val default_config : config
 (** The [mvpn] demo defaults: 4 shards, 12 POPs, 2 VPNs × 4 sites,

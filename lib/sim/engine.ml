@@ -152,6 +152,32 @@ let schedule_kind_at e ~kind ~time f =
   if Profile.enabled e.prof then Profile.note_kind e.prof kind;
   schedule_at e ~time f
 
+(* Fixed-interval series: one closure re-armed after each run of [f],
+   so events [f] schedules at a tick instant keep their FIFO rank
+   ahead of the next tick. *)
+let periodic e ~kind ~interval ?until f =
+  if not (Float.is_finite interval && interval > 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.periodic: interval must be finite and positive, got %g"
+         interval);
+  let until =
+    match until with
+    | Some h when Float.is_nan h || h < 0.0 ->
+      invalid_arg "Engine.periodic: until must be >= 0"
+    | Some h -> h
+    | None -> infinity
+  in
+  let stopped = ref false in
+  let rec tick () =
+    if (not !stopped) && e.now <= until then begin
+      f ();
+      schedule_kind e ~kind ~delay:interval tick
+    end
+  in
+  schedule_kind e ~kind ~delay:interval tick;
+  fun () -> stopped := true
+
 let step e =
   match q_pop e.queue with
   | None -> false

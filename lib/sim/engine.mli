@@ -40,6 +40,26 @@ val schedule_kind_at :
   t -> kind:Profile.kind -> time:float -> (unit -> unit) -> unit
 (** {!schedule_at}, tagged like {!schedule_kind}. *)
 
+val periodic :
+  t -> kind:Profile.kind -> interval:float -> ?until:float ->
+  (unit -> unit) -> (unit -> unit)
+(** [periodic e ~kind ~interval ?until f] runs [f] every [interval]
+    sim-seconds: the first tick is scheduled (as [kind]) at
+    [now e +. interval], and each tick that finds [now <= until]
+    (default unbounded) runs [f] and then schedules the next. The
+    result is a stop thunk: once called, pending ticks do nothing and
+    re-arm no further. An exception from [f] propagates out of the run
+    and ends the series.
+
+    {b Warning}: without [until] the series re-arms itself forever, so
+    a bare {!run} (no [~until]) will {e never drain} — drive the engine
+    with [run ~until:...], call the stop thunk first, or pass [until].
+    With [until] the series ends at the first tick after it (at most
+    one trailing no-op event), so a bare {!run} terminates.
+    @raise Invalid_argument if [interval] is not finite and positive
+    (a runaway re-arm at one instant, or a series that never fires)
+    or [until] is NaN or negative. *)
+
 val profiler : t -> Profile.t
 (** The engine's dispatch-cost ledger (see {!Profile}). Disabled at
     {!create}; enabling takes effect at the next run-window entry,

@@ -162,33 +162,3 @@ module Hist = struct
       Format.fprintf ppf "%s: %d@." label t.counts.(i)
     done
 end
-
-module Timeseries = struct
-  type t = { mutable points : (float * float) list; mutable length : int }
-  (* Reverse chronological; rendered oldest-first on demand. *)
-
-  let create () = { points = []; length = 0 }
-
-  let add ts time v =
-    (match ts.points with
-     | (last, _) :: _ when time < last ->
-       invalid_arg "Timeseries.add: time going backwards"
-     | _ -> ());
-    ts.points <- (time, v) :: ts.points;
-    ts.length <- ts.length + 1
-
-  let length ts = ts.length
-
-  let to_list ts = List.rev ts.points
-
-  let last ts = match ts.points with [] -> None | p :: _ -> Some p
-
-  let mean_value ts =
-    if ts.length = 0 then 0.0
-    else
-      List.fold_left (fun acc (_, v) -> acc +. v) 0.0 ts.points
-      /. float_of_int ts.length
-
-  let max_value ts =
-    List.fold_left (fun acc (_, v) -> Float.max acc v) neg_infinity ts.points
-end

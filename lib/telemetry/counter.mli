@@ -21,9 +21,9 @@ val add : t -> int -> unit
 
 val set : t -> int -> unit
 (** [set t n] overwrites the count — for counters mirroring an
-    always-on authoritative source (e.g. the network's per-reason drop
-    table), so the exported value cannot drift from the source when
-    telemetry is toggled mid-run. *)
+    always-on authoritative source whose whole value belongs to the
+    counter (e.g. FRR's protected-link census), so the exported value
+    cannot drift from the source when telemetry is toggled mid-run. *)
 
 val value : t -> int
 

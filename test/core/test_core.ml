@@ -1382,50 +1382,6 @@ let test_planning_ecmp_conserves_flow () =
       (Planning.link_load p long)
   | _ -> Alcotest.fail "links missing"
 
-let test_monitor_sampling () =
-  let topo = Topology.create () in
-  let ids = Topology.line topo 2 ~bandwidth:1e6 ~delay:0.001 in
-  let engine = Engine.create () in
-  let net = Network.create engine topo in
-  Fib.add (Network.fib net ids.(0)) Prefix.default
-    { Fib.next_hop = ids.(1); cost = 1; source = Fib.Static };
-  Fib.add (Network.fib net ids.(1)) Prefix.default
-    { Fib.next_hop = Fib.local_delivery; cost = 0; source = Fib.Connected };
-  Network.set_sink net ids.(1) (fun _ -> ());
-  let link =
-    match Topology.find_link topo ids.(0) ids.(1) with
-    | Some l -> l
-    | None -> Alcotest.fail "link missing"
-  in
-  let mon =
-    Monitor.start ~interval:1.0 net ~link_ids:[link.Topology.id]
-  in
-  (* 0.5 Mb/s over a 1 Mb/s link for 10 s: utilization ~50%. *)
-  let registry = Traffic.registry engine in
-  let emit =
-    Traffic.sender registry ~net ~src_node:ids.(0)
-      ~flow:(Flow.make (ip "10.0.0.1") (ip "10.1.0.1"))
-      ~dscp:Dscp.best_effort
-      ~collector:(Traffic.collector registry "x")
-      ()
-  in
-  Traffic.cbr engine ~start:0.0 ~stop:10.0 ~rate_bps:500_000.0
-    ~packet_bytes:1000 emit;
-  Engine.run ~until:10.0 engine;
-  Monitor.stop mon;
-  let series = Monitor.utilization_series mon ~link_id:link.Topology.id in
-  Alcotest.(check int) "ten samples" 10
-    (Mvpn_sim.Stats.Timeseries.length series);
-  let peak =
-    match Monitor.peak_utilization mon with
-    | (_, u) :: _ -> u
-    | [] -> 0.0
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "peak near 50%% (got %.3f)" peak)
-    true
-    (peak > 0.4 && peak < 0.6)
-
 let test_planning_unreachable_demand () =
   let t = Topology.create () in
   let a = Topology.add_node t and b = Topology.add_node t in
@@ -1533,48 +1489,38 @@ let wrap_telemetry f () =
       T.Control.disable ())
     f
 
-let test_monitor_until_horizon () =
-  let topo = Topology.create () in
-  let ids = Topology.line topo 2 ~bandwidth:1e6 ~delay:0.001 in
-  let engine = Engine.create () in
-  let net = Network.create engine topo in
-  Fib.add (Network.fib net ids.(0)) Prefix.default
-    { Fib.next_hop = ids.(1); cost = 1; source = Fib.Static };
-  Fib.add (Network.fib net ids.(1)) Prefix.default
-    { Fib.next_hop = Fib.local_delivery; cost = 0; source = Fib.Connected };
-  Network.set_sink net ids.(1) (fun _ -> ());
-  let link =
-    match Topology.find_link topo ids.(0) ids.(1) with
-    | Some l -> l
-    | None -> Alcotest.fail "link missing"
+(* The registry's drop counters mirror each network's drop table as a
+   delta: drops booked while telemetry is off are caught up at the next
+   enabled mirror (in or out of a batch window), and a second network
+   adds to the totals instead of overwriting them. *)
+let test_drop_mirror_adds () =
+  let network () =
+    let topo = Topology.create () in
+    ignore (Topology.add_node topo);
+    let engine = Engine.create () in
+    (engine, Network.create engine topo)
   in
-  Alcotest.check_raises "negative horizon refused"
-    (Invalid_argument "Monitor.start: until must be non-negative")
-    (fun () ->
-       ignore (Monitor.start ~until:(-1.0) net ~link_ids:[link.Topology.id]));
-  let mon =
-    Monitor.start ~interval:1.0 ~until:5.0 net
-      ~link_ids:[link.Topology.id]
+  let drops () =
+    (T.Registry.counter_value "net.drops",
+     T.Registry.counter_value "net.drop.probe")
   in
-  let registry = Traffic.registry engine in
-  let emit =
-    Traffic.sender registry ~net ~src_node:ids.(0)
-      ~flow:(Flow.make (ip "10.0.0.1") (ip "10.1.0.1"))
-      ~dscp:Dscp.best_effort
-      ~collector:(Traffic.collector registry "x")
-      ()
-  in
-  Traffic.cbr engine ~start:0.0 ~stop:3.0 ~rate_bps:100_000.0
-    ~packet_bytes:1000 emit;
-  (* The regression: a bare run (no [~until], no [stop]) must drain —
-     the sampler used to re-arm itself forever. *)
+  let engine, a = network () in
+  Network.drop_packet a "probe";
+  T.Control.enable ();
+  Network.drop_packet a "probe";
+  Alcotest.(check (pair int int)) "toggled mid-run" (2, 2) (drops ());
+  T.Control.disable ();
+  Engine.schedule engine ~delay:1.0 (fun () -> Network.drop_packet a "probe");
   Engine.run engine;
-  let series = Monitor.utilization_series mon ~link_id:link.Topology.id in
-  let n = Mvpn_sim.Stats.Timeseries.length series in
-  Alcotest.(check bool)
-    (Printf.sprintf "sampling stopped at the horizon (%d samples)" n)
-    true
-    (n >= 4 && n <= 6)
+  T.Control.enable ();
+  Engine.schedule engine ~delay:1.0 (fun () -> Network.drop_packet a "probe");
+  Engine.run engine;
+  Alcotest.(check (pair int int)) "caught up at a window flush" (4, 4)
+    (drops ());
+  let _, b = network () in
+  Network.drop_packet b "probe";
+  Alcotest.(check (pair int int)) "a second network adds" (5, 5) (drops ());
+  Alcotest.(check int) "tables stay per network" 1 (Network.drops b)
 
 let test_accounting_gauges_match_usage () =
   let acct = Accounting.create () in
@@ -1959,12 +1905,10 @@ let () =
            test_planning_ecmp_conserves_flow;
          Alcotest.test_case "unreachable demand" `Quick
            test_planning_unreachable_demand ]);
-      ("monitor",
-       [ Alcotest.test_case "sampling" `Quick test_monitor_sampling;
-         Alcotest.test_case "until horizon" `Quick
-           (wrap_telemetry test_monitor_until_horizon) ]);
       ("conformance",
-       [ Alcotest.test_case "accounting gauges match usage" `Quick
+       [ Alcotest.test_case "drop mirror adds per network" `Quick
+           (wrap_telemetry test_drop_mirror_adds);
+         Alcotest.test_case "accounting gauges match usage" `Quick
            (wrap_telemetry test_accounting_gauges_match_usage);
          Alcotest.test_case "span attributes delivery" `Quick
            (wrap_telemetry test_span_attributes_delivery);

@@ -477,6 +477,46 @@ let test_audit_start_validation () =
   expect_invalid "heap_slack < 1" (fun () ->
       ignore (Audit.start ~heap_slack:0.5 sc))
 
+(* --- the soak recipe --------------------------------------------------- *)
+
+module Runner = Mvpn_par.Runner
+module Soak = Mvpn_resilience.Soak
+
+(* The recipe is what keeps a chaos soak shard-invariant, and the
+   runner's totals must not depend on what ran before in the process:
+   two back-to-back sequential runs and one K=2 run of the same audited
+   storm agree on everything the packets did. The storm must drop
+   something, or the second sequential run could not show a stale
+   [net.drops] mirror. *)
+let test_soak_recipe_runs_agree () =
+  let cfg =
+    { Runner.default_config with
+      Runner.shards = 2; pops = 6; vpns = 2; sites_per_vpn = 3;
+      duration = 6.0; sample_interval = Some 1.0; diurnal = Some 4 }
+  in
+  let storm = Soak.storm ~events:12 ~seed:7 cfg in
+  let cfg = Soak.arm ~storm ~audit:1.0 cfg in
+  let run label go =
+    let t0 = cv "audit.ticks" and v0 = cv "audit.violations" in
+    let o = go cfg in
+    if cv "audit.ticks" = t0 then
+      Alcotest.failf "%s: auditor never ticked" label;
+    Alcotest.(check int) (label ^ ": audit clean") 0
+      (cv "audit.violations" - v0);
+    ( (o.Runner.delivered, o.Runner.dropped),
+      (o.Runner.classes,
+       (T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo)) )
+  in
+  let totals =
+    Alcotest.(
+      pair (pair int int) (pair (list (triple string int int)) (pair bool int)))
+  in
+  let first = run "seq 1" Runner.run_sequential in
+  Alcotest.(check bool) "the storm drops packets" true (snd (fst first) > 0);
+  Alcotest.check totals "second sequential run" first
+    (run "seq 2" Runner.run_sequential);
+  Alcotest.check totals "K=2 run" first (run "K=2" Runner.run_parallel)
+
 let qt t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -508,4 +548,7 @@ let () =
          Alcotest.test_case "catches a leaky drop table" `Quick
            (with_telemetry test_audit_catches_drop_leak);
          Alcotest.test_case "start validates its knobs" `Quick
-           test_audit_start_validation ]) ]
+           test_audit_start_validation ]);
+      ("soak",
+       [ Alcotest.test_case "back-to-back and K=2 runs agree" `Quick
+           (with_telemetry test_soak_recipe_runs_agree) ]) ]

@@ -391,6 +391,88 @@ let test_engine_invalid () =
     (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
       Engine.schedule_at e ~time:1.0 ignore)
 
+let test_periodic_multiples () =
+  let e = Engine.create () in
+  let k = Profile.register_kind "test.periodic" in
+  let times = ref [] in
+  let _stop =
+    Engine.periodic e ~kind:k ~interval:0.25 (fun () ->
+        times := Engine.now e :: !times)
+  in
+  Alcotest.(check int) "first tick armed" 1 (Engine.pending e);
+  Engine.run ~until:1.0 e;
+  Alcotest.(check (list (float 0.0))) "every interval, until inclusive"
+    [0.25; 0.5; 0.75; 1.0] (List.rev !times)
+
+(* Without [until] the series re-arms forever; with it, a bare [run]
+   must drain, after at most one trailing no-op tick. *)
+let test_periodic_until_drains () =
+  let e = Engine.create () in
+  let k = Profile.register_kind "test.periodic" in
+  let n = ref 0 in
+  let _stop =
+    Engine.periodic e ~kind:k ~interval:1.0 ~until:3.5 (fun () -> incr n)
+  in
+  Engine.run e;
+  Alcotest.(check int) "ticks at 1, 2, 3" 3 !n;
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e);
+  Alcotest.(check (float 0.0)) "trailing no-op at 4" 4.0 (Engine.now e)
+
+let test_periodic_stop () =
+  let e = Engine.create () in
+  let k = Profile.register_kind "test.periodic" in
+  let n = ref 0 in
+  let stop = Engine.periodic e ~kind:k ~interval:1.0 (fun () -> incr n) in
+  Engine.run ~until:2.0 e;
+  stop ();
+  Engine.run e;
+  Alcotest.(check int) "no tick after stop" 2 !n;
+  Alcotest.(check int) "pending tick drained as a no-op" 0 (Engine.pending e);
+  (* Stopping from inside the tick ends the series there too. *)
+  let m = ref 0 in
+  let stop2 = ref ignore in
+  stop2 :=
+    Engine.periodic e ~kind:k ~interval:1.0 (fun () ->
+        incr m;
+        if !m = 3 then !stop2 ());
+  Engine.run e;
+  Alcotest.(check int) "stopped from its own tick" 3 !m
+
+let test_periodic_rejects () =
+  let e = Engine.create () in
+  let k = Profile.register_kind "test.periodic" in
+  let expect name ?until interval =
+    match Engine.periodic e ~kind:k ~interval ?until ignore with
+    | (_ : unit -> unit) ->
+      Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  expect "nan interval" Float.nan;
+  expect "zero interval" 0.0;
+  expect "negative interval" (-1.0);
+  expect "infinite interval" infinity;
+  expect "nan until" ~until:Float.nan 1.0;
+  expect "negative until" ~until:(-1.0) 1.0;
+  Alcotest.(check int) "nothing scheduled" 0 (Engine.pending e);
+  let _stop = Engine.periodic e ~kind:k ~interval:1.0 ~until:0.0 ignore in
+  Engine.run e;
+  Alcotest.(check int) "until 0: one no-op tick, drained" 1
+    (Engine.processed e)
+
+let test_periodic_profiled () =
+  let e = Engine.create () in
+  let p = Engine.profiler e in
+  let k = Profile.register_kind "test.periodic.ledger" in
+  Profile.enable p;
+  let n = ref 0 in
+  let _stop =
+    Engine.periodic e ~kind:k ~interval:0.5 ~until:5.0 (fun () -> incr n)
+  in
+  Engine.run e;
+  Alcotest.(check int) "ten ticks ran" 10 !n;
+  Alcotest.(check int) "every tick counted under its kind, the no-op too"
+    11 (Profile.kind_count p k)
+
 let test_engine_simultaneous_fifo () =
   let e = Engine.create () in
   let log = ref [] in
@@ -535,18 +617,6 @@ let test_hist_bad_edges () =
     (Invalid_argument "Hist.create: edges must be strictly increasing")
     (fun () -> ignore (Stats.Hist.create [|1.0; 1.0|]))
 
-let test_timeseries () =
-  let ts = Stats.Timeseries.create () in
-  Stats.Timeseries.add ts 0.0 1.0;
-  Stats.Timeseries.add ts 1.0 3.0;
-  Stats.Timeseries.add ts 2.0 2.0;
-  Alcotest.(check int) "length" 3 (Stats.Timeseries.length ts);
-  Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.Timeseries.mean_value ts);
-  Alcotest.(check (float 1e-9)) "max" 3.0 (Stats.Timeseries.max_value ts);
-  Alcotest.check_raises "backwards"
-    (Invalid_argument "Timeseries.add: time going backwards") (fun () ->
-      Stats.Timeseries.add ts 1.5 0.0)
-
 (* Push payloads while registering them in a weak array, without
    leaving strong references on this frame's stack.  [@inline never]
    keeps the payload roots confined to the callee. *)
@@ -678,15 +748,6 @@ let test_summary_single_sample () =
     (Stats.Summary.variance s);
   Alcotest.(check (float 1e-9)) "min=max" (Stats.Summary.min s)
     (Stats.Summary.max s)
-
-let test_timeseries_equal_times_allowed () =
-  let ts = Stats.Timeseries.create () in
-  Stats.Timeseries.add ts 1.0 1.0;
-  Stats.Timeseries.add ts 1.0 2.0;
-  Alcotest.(check int) "both kept" 2 (Stats.Timeseries.length ts);
-  Alcotest.(check (option (pair (float 1e-9) (float 1e-9)))) "last"
-    (Some (1.0, 2.0))
-    (Stats.Timeseries.last ts)
 
 (* --- Topology --------------------------------------------------------- *)
 
@@ -891,7 +952,16 @@ let () =
          Alcotest.test_case "run_before strict" `Quick
            test_engine_run_before;
          Alcotest.test_case "profiler ledger" `Quick
-           test_engine_profiler ]);
+           test_engine_profiler;
+         Alcotest.test_case "periodic at multiples" `Quick
+           test_periodic_multiples;
+         Alcotest.test_case "periodic until drains" `Quick
+           test_periodic_until_drains;
+         Alcotest.test_case "periodic stop" `Quick test_periodic_stop;
+         Alcotest.test_case "periodic rejects bad knobs" `Quick
+           test_periodic_rejects;
+         Alcotest.test_case "periodic ticks profiled" `Quick
+           test_periodic_profiled ]);
       ("stats",
        [ Alcotest.test_case "summary moments" `Quick test_summary_moments;
          Alcotest.test_case "summary empty" `Quick test_summary_empty;
@@ -904,11 +974,8 @@ let () =
            test_samples_interleaved_sorting;
          Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
          Alcotest.test_case "hist bad edges" `Quick test_hist_bad_edges;
-         Alcotest.test_case "timeseries" `Quick test_timeseries;
          Alcotest.test_case "summary single sample" `Quick
-           test_summary_single_sample;
-         Alcotest.test_case "timeseries equal times" `Quick
-           test_timeseries_equal_times_allowed ]);
+           test_summary_single_sample ]);
       ("topology",
        [ Alcotest.test_case "connect" `Quick test_topology_connect;
          Alcotest.test_case "duplicates rejected" `Quick

@@ -12,6 +12,20 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
+echo "== capacity_planning example smoke (Engine.periodic link monitor)"
+cap_out=$(./_build/default/examples/capacity_planning.exe) || {
+  echo "examples/capacity_planning.exe exited non-zero" >&2
+  exit 1
+}
+printf '%s\n' "$cap_out" | grep -q "worst observed links" || {
+  echo "capacity_planning printed no worst-observed-links table" >&2
+  exit 1
+}
+printf '%s\n' "$cap_out" | grep -Eq '^    n[0-9]+ -> n[0-9]+  peak ' || {
+  echo "capacity_planning's worst-observed-links table is empty" >&2
+  exit 1
+}
+
 echo "== E0 bench smoke (forwarding race + telemetry dump)"
 dune exec bench/main.exe -- --only E0 > /dev/null
 ./_build/default/tools/json_lint.exe --require-schema < BENCH_telemetry.json
