@@ -7,8 +7,8 @@ type metric =
 (* Version of the JSON export layout: bumped whenever the shape of
    [to_json] (or the CLI envelopes built around it) changes
    incompatibly. Exported at the top level of every JSON object so
-   downstream consumers can detect format drift; tools/json_lint
-   enforces its presence. *)
+   downstream consumers can detect format drift; `tools/gate.exe lint
+   --require-schema` enforces its presence. *)
 let schema_version = 1
 
 (* One process-wide registry: instrumented modules create their metrics

@@ -1,0 +1,534 @@
+(* Repository gate: one JSON parser and one table of assertions.
+
+   gate lint [--require-schema] < FILE
+     Exits 0 if stdin is exactly one JSON value plus trailing
+     whitespace, else exits 1 with a line:col message. Non-finite
+     literals (inf, nan, Infinity) are not JSON and are rejected. With
+     --require-schema the value must also be an object whose first
+     member is a numeric "schema" version — the contract every mvpn
+     --json envelope and BENCH_telemetry.json carries, so consumers can
+     dispatch on format before reading the rest.
+
+   gate check DIR
+     Evaluates every row of [rows] against the artifacts tools/check.sh
+     collected in DIR (bench dumps, mvpn --json outputs, exit codes),
+     prints one PASS/FAIL line per row with the measured value and its
+     bound, and exits 1 if any row failed. A failing row never stops
+     the rows after it, and a metric that is absent or not a number
+     fails as "missing", never compares as 0. *)
+
+(* Strings keep their escapes undecoded: the gate only compares them. *)
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+exception Syntax of int * string
+
+let number_re =
+  Str.regexp "-?\\(0\\|[1-9][0-9]*\\)\\(\\.[0-9]+\\)?\\([eE][-+]?[0-9]+\\)?"
+
+let parse s =
+  let n = String.length s and pos = ref 0 in
+  let fail msg = raise (Syntax (!pos, msg)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while
+      match peek () with Some (' ' | '\t' | '\n' | '\r') -> true | _ -> false
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    match peek () with
+    | Some d when d = c -> advance ()
+    | Some d -> fail (Printf.sprintf "expected %c, found %c" c d)
+    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
+  in
+  let literal word v =
+    let k = String.length word in
+    if !pos + k <= n && String.sub s !pos k = word then begin
+      pos := !pos + k;
+      v
+    end
+    else fail (Printf.sprintf "invalid literal (expected %s)" word)
+  in
+  let string () =
+    expect '"';
+    let start = !pos in
+    let rec go () =
+      match peek () with
+      | None -> fail "unterminated string"
+      | Some '"' ->
+        advance ();
+        String.sub s start (!pos - start - 1)
+      | Some '\\' ->
+        advance ();
+        (match peek () with
+         | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
+         | Some 'u' ->
+           advance ();
+           for _ = 1 to 4 do
+             match peek () with
+             | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
+             | _ -> fail "invalid \\u escape"
+           done
+         | _ -> fail "invalid escape");
+        go ()
+      | Some c when Char.code c < 0x20 -> fail "control character in string"
+      | Some _ ->
+        advance ();
+        go ()
+    in
+    go ()
+  in
+  let number () =
+    if Str.string_match number_re s !pos then begin
+      let start = !pos in
+      pos := Str.match_end ();
+      Num (float_of_string (String.sub s start (!pos - start)))
+    end
+    else fail "malformed number"
+  in
+  (* [seq close what item]: the comma-separated items up to [close]. *)
+  let seq close what item =
+    advance ();
+    skip_ws ();
+    if peek () = Some close then begin
+      advance ();
+      []
+    end
+    else
+      let rec more acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+          advance ();
+          more acc
+        | Some c when c = close ->
+          advance ();
+          List.rev acc
+        | _ -> fail (Printf.sprintf "expected , or %c in %s" close what)
+      in
+      more []
+  in
+  let rec member () =
+    skip_ws ();
+    let k = string () in
+    skip_ws ();
+    expect ':';
+    (k, value ())
+  and value () =
+    skip_ws ();
+    match peek () with
+    | Some '"' -> Str (string ())
+    | Some '{' -> Obj (seq '}' "object" member)
+    | Some '[' -> Arr (seq ']' "array" value)
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some ('-' | '0' .. '9') -> number ()
+    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
+    | None -> fail "empty input"
+  in
+  let v = value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing garbage after JSON value";
+  v
+
+(* [read ~schema text] is the tree, or a "line:col: message" error. *)
+let read ~schema s =
+  let at off msg =
+    let line = ref 1 and col = ref 1 in
+    String.iteri
+      (fun i c ->
+        if i < off then
+          if c = '\n' then begin
+            incr line;
+            col := 1
+          end
+          else incr col)
+      s;
+    Error (Printf.sprintf "%d:%d: %s" !line !col msg)
+  in
+  let need msg = at 0 ("--require-schema: " ^ msg) in
+  match parse s with
+  | exception Syntax (off, msg) -> at off msg
+  | t when not schema -> Ok t
+  | Obj (("schema", Num v) :: _) as t when v >= 0. -> Ok t
+  | Obj (("schema", _) :: _) -> need "\"schema\" is not a number"
+  | Obj _ -> need "first member is not \"schema\""
+  | _ -> need "top-level value is not an object"
+
+(* ---- the table ---- *)
+
+type path =
+  | Metric of string  (** a key under "counters", or else under "gauges" *)
+  | At of string list
+      (** steps from the root: a member name, an array index, or "*" for
+          every child *)
+
+type measure =
+  | Value of path  (** the number at a path *)
+  | Matches of string list * string
+      (** the keys and strings under a path that match a [Str] regex *)
+
+type op = Ge | Gt | Le
+
+type bound = Const of float | Times of float * path
+
+type test =
+  | Present of path
+  | Compare of measure * op * bound
+  | Equal of path * json
+  | Same_bytes of string  (** byte-identical to another artifact *)
+  | Same_tree of path * string * path  (** equal to another's subtree *)
+
+(* Artifacts are files in the check directory: a [.json] one must pass
+   [lint --require-schema], so every row on it also checks that; a
+   [.rc] one is an exit code (a JSON number); a [.txt] one is the array
+   of its lines. *)
+type row = { art : string; test : test; why : string }
+
+let row art test why = { art; test; why }
+
+let present art keys why =
+  List.map (fun k -> row art (Present (Metric k)) why) keys
+
+let cmp art m op b why = row art (Compare (Value (Metric m), op, b)) why
+
+let positive art keys why = List.map (fun k -> cmp art k Gt (Const 0.) why) keys
+
+(* [first art p key]: the array at [p] is non-empty and its first
+   element has member [key]. *)
+let first art p key why = row art (Present (At (p @ [ "0"; key ]))) why
+
+let count art p re op n why =
+  row art (Compare (Matches (p, re), op, Const n)) why
+
+let exit_code code why art = row (art ^ ".rc") (Equal (At [], Num code)) why
+
+let same art others =
+  List.map (fun o -> row o (Same_bytes art) ("differs from " ^ art)) others
+
+let rows =
+  List.concat
+    [ [ exit_code 0. "capacity_planning example failed" "capacity";
+        count "capacity.txt" [] "worst observed links" Ge 1.
+          "capacity_planning printed no worst-observed-links table";
+        count "capacity.txt" [] "^    n[0-9]+ -> n[0-9]+  peak " Ge 1.
+          "capacity_planning's worst-observed-links table is empty";
+        exit_code 0. "tools/pp_smoke.exe (Packet.pp) failed" "pp_smoke" ];
+      present "e0.json" [ "e0.rate.cached_pps"; "e0.rate.uncached_pps" ]
+        "missing E0 rate gauge";
+      [ count "e6.json" [ "gauges" ] "^e6c\\.slo\\.vpn" Ge 1.
+          "no per-(vpn, band) conformance gauges after E6";
+        count "e6.json" [ "events"; "*"; "kind" ] "^slo_" Ge 1.
+          "no slo events in the E6 event log";
+        count "e6.json" []
+          "^acct\\.vpn[0-9]+\\.band\\([4-9]\\|[0-9][0-9]+\\)\\($\\|[^0-9]\\)"
+          Le 0. "accounting names a band outside 0..3";
+        exit_code 0. "mvpn slo out of budget on a healthy run" "slo";
+        first "slo.json" [ "objectives" ] "vpn" "no slo records in mvpn slo";
+        first "slo.json" [ "events" ] "seq" "empty event log in mvpn slo" ];
+      present "e15.json"
+        [ "e15.frr.lost"; "e15.nofrr.lost"; "e15.frr_gain_packets";
+          "e15.frr.resilience.frr.switched" ]
+        "missing E15 resilience metric";
+      positive "e15.json" [ "resilience.chaos.faults" ] "E15 injected no fault";
+      List.map (exit_code 0. "mvpn chaos failed") [ "chaos_a"; "chaos_b" ];
+      same "chaos_a.json" [ "chaos_b.json" ];
+      [ first "chaos_a.json" [ "plan" ] "kind" "no fault plan in mvpn chaos";
+        row "chaos_a.json"
+          (Equal (Metric "resilience.chaos.faults", Num 12.))
+          "chaos fault counter wrong in mvpn chaos";
+        exit_code 0. "mvpn stats failed" "stats" ];
+      present "stats.json"
+        [ "fib.cache.hit"; "fib.cache.miss"; "ftn.cache.hit"; "ftn.cache.miss" ]
+        "missing cache counter in mvpn stats";
+      (* A metric a comparison reads needs no presence row of its own:
+         the comparison fails as "missing" when it is absent. *)
+      present "e16.json"
+        [ "e16.rate.k2_pps"; "e16.rate.k4_pps"; "e16.rate.k8_pps";
+          "e16.speedup.k2"; "e16.speedup.k4"; "e16.speedup.k8" ]
+        "missing parallel-runner gauge";
+      [ cmp "e16.json" "sim.gc.minor_words_per_event" Gt (Const 0.)
+          "allocation probe never ran";
+        cmp "e16.json" "sim.gc.minor_words_per_event" Le (Const 24.)
+          "flat-packet allocation budget exceeded";
+        (* The seq-calendar rate before the flat-packet data plane,
+           155694 pps on an earlier container, times 1.15 so real
+           regressions fail while scheduling noise (~±10%) does not.
+           Host-bound until it is re-expressed against an in-process
+           reference. *)
+        cmp "e16.json" "e16.rate.seq_pps" Ge (Const (1.15 *. 155694.))
+          "seq_pps below 1.15x the pre-flat-packet baseline";
+        cmp "e16.json" "e16.rate.seq_calendar_pps" Ge
+          (Times (1., Metric "e16.rate.seq_heap_pps"))
+          "calendar backend slower than heap (same-process race)";
+        cmp "e16.json" "e16.rate.seq_sampler_pps" Ge
+          (Times (0.95, Metric "e16.rate.seq_pps"))
+          "timeline sampler overhead out of budget" ];
+      present "e16.json"
+        [ "sim.profile.pop_s"; "sim.profile.handler_s"; "sim.profile.flush_s";
+          "sim.profile.kind.port.tx";
+          "sim.profile.kind.port.propagate"; "sim.profile.kind.traffic.src" ]
+        "missing dispatch-cost ledger gauge";
+      positive "e16.json" [ "sim.profile.events" ] "profiled drain never ran";
+      List.map (exit_code 0. "mvpn timeline failed") ["tl_a"; "tl_b"; "tl_k4"];
+      same "tl_a.json" [ "tl_b.json"; "tl_k4.json" ];
+      List.map
+        (fun s -> row "tl_a.json" (Present (At [ "series"; s ])) "no series")
+        [ "ts.link.0.util"; "ts.slo.v1.b0.burn" ];
+      List.map (exit_code 0. "mvpn par failed") [ "par_a"; "par_b" ];
+      same "par_a.json" [ "par_b.json" ];
+      [ row "par_a.json"
+          (Same_tree (At [ "registry"; "counters" ], "stats.json",
+                      At [ "counters" ]))
+          "mvpn par counters diverge from the sequential mvpn stats run" ];
+      present "e18.json"
+        [ "e18.rate.base_pps"; "e18.rate.audit_pps"; "e18.rate.chaos_pps";
+          "e18.audit.ticks" ]
+        "missing audited-soak metric";
+      (* Each audit.check.* counter is bumped once per check run. *)
+      positive "e18.json"
+        [ "audit.ticks"; "audit.check.conservation"; "audit.check.loops";
+          "audit.check.frr"; "audit.check.slo"; "audit.check.queues";
+          "audit.check.heap"; "audit.check.pool" ]
+        "the auditor never ran this check in E18";
+      [ cmp "e18.json" "e18.events" Ge (Const 1e6) "audited soak too small";
+        row "e18.json"
+          (Equal (Metric "e18.audit.violations", Num 0.))
+          "invariant violations in the audited soak";
+        (* CPU-seconds ratio, unaudited over audited soak, best of two
+           interleaved runs each; the true ratio sits around 0.98. *)
+        cmp "e18.json" "e18.overhead.audit" Ge (Const 0.95)
+          "invariant auditor overhead out of budget" ];
+      List.map
+        (exit_code 0. "mvpn soak reported invariant violations")
+        [ "soak_a"; "soak_b"; "soak_k4" ];
+      same "soak_a.json" [ "soak_b.json"; "soak_k4.json" ];
+      [ row "soak_a.json"
+          (Equal (At [ "chaos"; "seed" ], Num 7.))
+          "chaos seed not recorded in mvpn soak";
+        first "soak_a.json" [ "chaos"; "plan" ] "kind" "no replayable plan";
+        row "soak_a.json"
+          (Present (At [ "audit"; "interval" ]))
+          "no audit record in mvpn soak";
+        row "soak_a.json"
+          (Compare (Value (At [ "audit"; "ticks" ]), Gt, Const 0.))
+          "auditor never ticked in mvpn soak";
+        row "soak_a.json"
+          (Equal (At [ "audit"; "violations" ], Num 0.))
+          "audit violations in mvpn soak" ];
+      List.map
+        (exit_code 0. "mvpn provision diverged from the from-scratch oracle")
+        [ "prov_a"; "prov_b" ];
+      same "prov_a.json" [ "prov_b.json" ];
+      [ row "prov_a.json"
+          (Equal (At [ "churn"; "oracle_match" ], Bool true))
+          "incremental provisioning does not match the oracle";
+        row "prov_a.json"
+          (Equal (At [ "per_pe"; "0"; "pe" ], Num 0.))
+          "no per-PE state table" ];
+      present "e19.json"
+        [ "e19.sites"; "e19.vrfs"; "e19.state.routes_per_pe";
+          "e19.state.growth"; "e19.mem.bytes_per_route"; "e19.converge.p99_ms";
+          "e19.converge.full_ms" ]
+        "missing provisioning gauge";
+      [ cmp "e19.json" "e19.routes" Ge (Const 1e5) "E19 below 10k-VPN scale";
+        (* Measured headroom is >100x; 10x absorbs scheduling noise. *)
+        cmp "e19.json" "e19.converge.speedup" Ge (Const 10.)
+          "a delta must converge (p99) 10x faster than a full recompile";
+        cmp "e19.json" "e19.delta.add_p50_ms" Gt (Const 0.) "no add timed";
+        (* Same-process medians, so host speed cancels out; a per-member
+           list rebuild on the removal path once made this ~170x. *)
+        cmp "e19.json" "e19.delta.remove_p50_ms" Le
+          (Times (5., Metric "e19.delta.add_p50_ms"))
+          "site removal costs more than 5x an add";
+        (* 0 = clean, 1 = out of budget or invariants violated, 124 =
+           usage error (cmdliner): pinned so scripts can rely on them. *)
+        exit_code 1. "mvpn slo --chaos 2 must exit 1 (out of budget)"
+          "slo_chaos" ];
+      List.map
+        (fun (art, cmd) -> exit_code 124. ("mvpn " ^ cmd ^ ": usage error") art)
+        [ ("usage_slo_flag", "slo --bogus-flag");
+          ("usage_soak_hours", "soak --hours -1");
+          ("usage_soak_nan", "soak --hours nan");
+          ("usage_soak_interval", "soak --hours 0.001 --audit-interval 0");
+          ("usage_prov_customers", "provision --customers 0");
+          ("usage_prov_flag", "provision --bogus-flag");
+          ("usage_prov_pops", "provision --pops 99");
+          ("usage_prov_churn", "provision --churn -1") ] ]
+
+(* ---- evaluation ---- *)
+
+let rec select v = function
+  | [] -> [ v ]
+  | k :: rest ->
+    let children =
+      match v with
+      | Obj ms ->
+        List.filter_map
+          (fun (m, c) -> if k = "*" || m = k then Some c else None)
+          ms
+      | Arr l when k = "*" -> l
+      | Arr l -> (
+        match int_of_string_opt k with
+        | Some i when i >= 0 -> Option.to_list (List.nth_opt l i)
+        | _ -> [])
+      | _ -> []
+    in
+    List.concat_map (fun c -> select c rest) children
+
+let find root = function
+  | At p -> (match select root p with [ v ] -> Some v | _ -> None)
+  | Metric k -> (
+    match select root [ "counters"; k ] with
+    | [ v ] -> Some v
+    | _ -> (match select root [ "gauges"; k ] with [ v ] -> Some v | _ -> None))
+
+let rec strings = function
+  | Str s -> [ s ]
+  | Arr l -> List.concat_map strings l
+  | Obj ms -> List.concat_map (fun (k, v) -> k :: strings v) ms
+  | Null | Bool _ | Num _ -> []
+
+let path_name = function
+  | Metric k -> k
+  | At [] -> "."
+  | At p -> String.concat "." p
+
+let num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v
+
+let show = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num v -> num v
+  | Str s -> "\"" ^ s ^ "\""
+  | Arr _ -> "[...]"
+  | Obj _ -> "{...}"
+
+let subject = function
+  | Equal (At [], _) -> "exit code"
+  | Present p | Equal (p, _) | Same_tree (p, _, _) | Compare (Value p, _, _) ->
+    path_name p
+  | Compare (Matches (p, re), _, _) ->
+    Printf.sprintf "count %s =~ /%s/" (path_name (At p)) re
+  | Same_bytes _ -> "bytes"
+
+let bound_text = function
+  | Present _ -> "present"
+  | Compare (_, op, b) -> (
+    let sym = match op with Ge -> ">=" | Gt -> ">" | Le -> "<=" in
+    match b with
+    | Const c -> sym ^ " " ^ num c
+    | Times (k, p) -> Printf.sprintf "%s %s x %s" sym (num k) (path_name p))
+  | Equal (_, v) -> "= " ^ show v
+  | Same_bytes other -> "= " ^ other
+  | Same_tree (_, other, q) -> "= " ^ other ^ " " ^ path_name q
+
+exception Missing of string
+
+(* [eval dir r] is (passed, measured value, bound). *)
+let eval dir r =
+  let missing what = raise (Missing ("missing " ^ what)) in
+  let bytes name =
+    let file = Filename.concat dir name in
+    if not (Sys.file_exists file) then missing name
+    else In_channel.with_open_bin file In_channel.input_all
+  in
+  let root name =
+    let s = bytes name in
+    if Filename.check_suffix name ".txt" then
+      Arr (List.map (fun l -> Str l) (String.split_on_char '\n' s))
+    else
+      match read ~schema:(Filename.check_suffix name ".json") s with
+      | Ok v -> v
+      | Error e -> raise (Missing (name ^ ": " ^ e))
+  in
+  let value name p =
+    match find (root name) p with Some v -> v | None -> missing (path_name p)
+  in
+  let number name p =
+    match value name p with Num v -> v | _ -> missing (path_name p)
+  in
+  let bound = bound_text r.test in
+  try
+    match r.test with
+    | Present p ->
+      ignore (value r.art p);
+      (true, "present", bound)
+    | Compare (m, op, b) ->
+      let v =
+        match m with
+        | Value p -> number r.art p
+        | Matches (p, re) ->
+          let re = Str.regexp re in
+          let hit s =
+            match Str.search_forward re s 0 with
+            | _ -> true
+            | exception Not_found -> false
+          in
+          let all = List.concat_map strings (select (root r.art) p) in
+          float (List.length (List.filter hit all))
+      in
+      let limit, bound =
+        match b with
+        | Const c -> (c, bound)
+        | Times (k, p) ->
+          let c = k *. number r.art p in
+          (c, Printf.sprintf "%s = %s" bound (num c))
+      in
+      let ok =
+        match op with Ge -> v >= limit | Gt -> v > limit | Le -> v <= limit
+      in
+      (ok, num v, bound)
+    | Equal (p, want) ->
+      let v = value r.art p in
+      (v = want, show v, bound)
+    | Same_bytes other ->
+      let ok = bytes r.art = bytes other in
+      (ok, (if ok then "identical" else "differs"), bound)
+    | Same_tree (p, other, q) ->
+      let ok = value r.art p = value other q in
+      (ok, (if ok then "equal" else "differs"), bound)
+  with Missing m -> (false, m, bound)
+
+let check dir =
+  let failed =
+    List.fold_left
+      (fun failed r ->
+        let ok, measured, bound = eval dir r in
+        Printf.printf "%s  %-23s %-32s %-10s want %s%s\n"
+          (if ok then "PASS" else "FAIL")
+          r.art (subject r.test) measured bound
+          (if ok then "" else "  -- " ^ r.why);
+        if ok then failed else failed + 1)
+      0 rows
+  in
+  Printf.printf "%d rows, %d failed\n" (List.length rows) failed;
+  exit (if failed > 0 then 1 else 0)
+
+let lint ~schema =
+  match read ~schema (In_channel.input_all stdin) with
+  | Ok _ -> ()
+  | Error e ->
+    prerr_endline ("gate lint: " ^ e);
+    exit 1
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "lint" ] -> lint ~schema:false
+  | [ "lint"; "--require-schema" ] -> lint ~schema:true
+  | [ "check"; dir ] -> check dir
+  | _ ->
+    prerr_endline "usage: gate lint [--require-schema] < FILE | gate check DIR";
+    exit 2
