@@ -9,6 +9,8 @@
      attached sites if C1 holds — an overlay needs N(N-1)/2 circuits);
    - resident bytes per route with the interned store and shared group
      tables (Gc live-word delta across the compile);
+   - the compile's CPU time per layer ({!Mvpn_provision.Compile.phases})
+     at both scales, so a change in compile time is attributed;
    - incremental convergence: single-delta p99 versus a from-scratch
      recompile of the same final portfolio, validated by canonical
      fingerprint against the oracle. *)
@@ -27,6 +29,7 @@ type row = {
   m : P.Compile.metrics;
   per_pe : (int * int) array;
   compile_s : float;
+  phases : (string * float) list;
   bytes_per_route : float;
   state : P.Compile.t;
   portfolio : P.Portfolio.t;
@@ -50,6 +53,7 @@ let compile_row n =
   { n; sites = P.Portfolio.site_count portfolio;
     overlay = P.Portfolio.overlay_circuits portfolio; m;
     per_pe = P.Compile.per_pe state; compile_s;
+    phases = P.Compile.phases state;
     bytes_per_route =
       float_of_int ((w1 - w0) * 8) /. float_of_int (max 1 m.P.Compile.routes);
     state; portfolio }
@@ -83,6 +87,20 @@ let run () =
            Printf.sprintf "%.2f" r.compile_s ])
     rows;
   let small = List.nth rows 0 and big = List.nth rows 1 in
+  Printf.printf "\ncompile CPU seconds by layer:\n";
+  let w1 = [ 12; 11; 11; 9 ] in
+  Tables.row w1
+    [ "layer"; Printf.sprintf "%d VPNs" small.n; Printf.sprintf "%d VPNs" big.n;
+      "ratio" ];
+  Tables.rule w1;
+  let layer name a b =
+    Tables.row w1
+      [ name; Printf.sprintf "%.3f" a; Printf.sprintf "%.3f" b;
+        Printf.sprintf "%.1fx" (b /. Float.max a 1e-6) ]
+  in
+  List.iter2 (fun (name, a) (_, b) -> layer name a b) small.phases big.phases;
+  let total r = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.phases in
+  layer "total" (total small) (total big);
   if big.m.P.Compile.routes < 100_000 then
     failwith
       (Printf.sprintf "E19: expected 100k+ routes at 10k VPNs, got %d"
@@ -169,6 +187,9 @@ let run () =
     (float_of_int big.m.P.Compile.table_entries
      /. float_of_int (max 1 big.m.P.Compile.shared_entries));
   g "e19.mem.bytes_per_route" big.bytes_per_route;
+  List.iter
+    (fun (name, s) -> g (Printf.sprintf "e19.compile.%s_s" name) s)
+    big.phases;
   g "e19.converge.p99_ms" p99_ms;
   g "e19.converge.full_ms" full_ms;
   g "e19.converge.speedup" speedup;

@@ -15,7 +15,8 @@ let create ?(mechanism = Directory) ~pe_count () =
     vpn_sizes = Hashtbl.create 16; pe_sizes = Hashtbl.create 16;
     messages = 0 }
 
-let size tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k)
+let size tbl k =
+  match Hashtbl.find tbl k with n -> n | exception Not_found -> 0
 
 let bump tbl k d =
   let n = size tbl k + d in

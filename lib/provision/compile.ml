@@ -6,50 +6,83 @@ module Prefix = Mvpn_net.Prefix
 
 (* --- small sorted-collection helpers ------------------------------------ *)
 
-let rec ins_sorted x = function
-  | [] -> [x]
-  | y :: _ as l when x < y -> x :: l
-  | y :: rest when x = y -> y :: rest
-  | y :: rest -> y :: ins_sorted x rest
-
 let rm_sorted x l = List.filter (fun y -> y <> x) l
 
-let arr_mem (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !hi - !lo > 0 do
+(* A sorted set of ints with spare room at the end: [ids_add] and
+   [ids_remove] shift in place, so a churn op allocates only when a set
+   outgrows its array (which then doubles). [a.(0 .. n - 1)] are the
+   members. *)
+type ids = { mutable a : int array; mutable n : int }
+
+let ids_empty () = { a = [||]; n = 0 }
+
+(* Room for at least one more member, as [ids_add] leaves it. *)
+let ids_of_sorted src =
+  let n = Array.length src in
+  let cap = ref 4 in
+  while !cap <= n do cap := 2 * !cap done;
+  let a = Array.make !cap 0 in
+  Array.blit src 0 a 0 n;
+  { a; n }
+
+(* Index of the first member [>= x] in [s]. *)
+let ids_lower s x =
+  let lo = ref 0 and hi = ref s.n in
+  while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if a.(mid) = x then begin lo := mid; hi := mid end
-    else if a.(mid) < x then lo := mid + 1
-    else hi := mid
+    if s.a.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  !lo < Array.length a && a.(!lo) = x
+  !lo
 
-let arr_insert (a : int array) x =
-  let n = Array.length a in
-  let b = Array.make (n + 1) x in
-  let i = ref 0 in
-  while !i < n && a.(!i) < x do b.(!i) <- a.(!i); incr i done;
-  Array.blit a !i b (!i + 1) (n - !i);
-  b
+let ids_mem s x =
+  let i = ids_lower s x in
+  i < s.n && s.a.(i) = x
 
-let arr_remove (a : int array) x =
-  let n = Array.length a in
-  let b = Array.make (n - 1) 0 in
-  let j = ref 0 in
-  Array.iter (fun y -> if y <> x then begin b.(!j) <- y; incr j end) a;
-  b
+(* Grows while the array still has the slot the insert takes, so a set
+   is never left full: one that filled up in bulk (a 512-site customer's
+   RT) does not regrow on its first churn op. *)
+let ids_add s x =
+  let i = ids_lower s x in
+  if not (i < s.n && s.a.(i) = x) then begin
+    if s.n + 1 >= Array.length s.a then begin
+      let bigger = Array.make (max 4 (2 * Array.length s.a)) 0 in
+      Array.blit s.a 0 bigger 0 s.n;
+      s.a <- bigger
+    end;
+    Array.blit s.a i s.a (i + 1) (s.n - i);
+    s.a.(i) <- x;
+    s.n <- s.n + 1
+  end
+
+let ids_remove s x =
+  let i = ids_lower s x in
+  if i < s.n && s.a.(i) = x then begin
+    Array.blit s.a (i + 1) s.a i (s.n - i - 1);
+    s.n <- s.n - 1
+  end
+
+let ids_iter f s =
+  for i = 0 to s.n - 1 do f s.a.(i) done
+
+let ids_fold f s acc =
+  let acc = ref acc in
+  for i = 0 to s.n - 1 do acc := f !acc s.a.(i) done;
+  !acc
+
+let ids_to_list s = List.init s.n (fun i -> s.a.(i))
 
 (* --- state -------------------------------------------------------------- *)
 
-(* A group is one shared immutable route table: all VRFs with the same
-   import signature (same VPN, same role-derived RT imports) reference
-   the same sorted id array. Arrays are replaced, never mutated, so a
-   reader can hold a snapshot across updates. *)
+(* A group is one shared route table: all VRFs with the same import
+   signature (same VPN, same role-derived RT imports) reference the same
+   sorted id set. A group with a single import is that RT's own set in
+   [rt_routes], physically: a route exported on the RT is in the group
+   the moment it is in the index. *)
 type group = {
   g_key : int;
   g_import : Mpbgp.rt list;
-  mutable g_pes : int list;  (* member VRF PEs, sorted *)
-  mutable g_routes : int array;  (* interned route ids, sorted *)
+  g_pes : ids;  (* member VRF PEs *)
+  mutable g_routes : ids;  (* interned route ids *)
 }
 
 type vrf = {
@@ -59,7 +92,7 @@ type vrf = {
   v_rd : Mpbgp.rd;
   v_export : Mpbgp.rt list;
   v_group : group;
-  mutable v_locals : int list;  (* global site ids, sorted *)
+  v_locals : ids;  (* global site ids *)
 }
 
 type cust = {
@@ -78,11 +111,13 @@ type t = {
   vrfs : (int, vrf) Hashtbl.t;  (* vrf_key -> vrf *)
   groups : (int, group) Hashtbl.t;  (* group_key -> group *)
   rt_groups : (int, int list) Hashtbl.t;  (* rt_value -> importing groups *)
-  rt_routes : (int, int array) Hashtbl.t;
-      (* rt_value -> live route ids exporting it, sorted *)
+  rt_routes : (int, ids) Hashtbl.t;
+      (* rt_value -> live route ids exporting it; kept when it empties,
+         since single-import groups share it *)
   site_route : (int, int) Hashtbl.t;  (* gsid -> interned route id *)
   site_info : (int, Site.t * Service.role) Hashtbl.t;
-  lsps : (int, int) Hashtbl.t;  (* (ingress lsl 8) lor egress -> refcount *)
+  lsps : int array;  (* ingress * pe_count + egress -> refcount *)
+  mutable phases : (string * float) list;  (* bulk compile CPU s, in order *)
 }
 
 let role_bit = function Service.Hub -> 1 | Service.Spoke -> 0
@@ -98,9 +133,10 @@ let membership t = t.membership
 let mpbgp t = t.bgp
 
 let find_customer t id =
-  match Hashtbl.find_opt t.customers id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Compile: unknown customer %d" id)
+  match Hashtbl.find t.customers id with
+  | c -> c
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Compile: unknown customer %d" id)
 
 let route_exn t id =
   match Mpbgp.find_route t.bgp id with
@@ -108,39 +144,43 @@ let route_exn t id =
   | None -> invalid_arg (Printf.sprintf "Compile: dead route id %d" id)
 
 let lsp_incr t ~ingress ~egress =
-  let k = lsp_key ~ingress ~egress in
-  Hashtbl.replace t.lsps k
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.lsps k))
+  let i = (ingress * t.pe_count) + egress in
+  t.lsps.(i) <- t.lsps.(i) + 1
 
 let lsp_decr t ~ingress ~egress =
-  let k = lsp_key ~ingress ~egress in
-  match Hashtbl.find_opt t.lsps k with
-  | None | Some 0 ->
+  let i = (ingress * t.pe_count) + egress in
+  match t.lsps.(i) with
+  | 0 ->
     invalid_arg
       (Printf.sprintf "Compile: LSP refcount underflow %d->%d" ingress egress)
-  | Some 1 -> Hashtbl.remove t.lsps k
-  | Some n -> Hashtbl.replace t.lsps k (n - 1)
+  | n -> t.lsps.(i) <- n - 1
 
+(* Lookups on the churn path match [Not_found] rather than allocate an
+   option per call. *)
 let groups_importing t (rt : Mpbgp.rt) =
-  Option.value ~default:[] (Hashtbl.find_opt t.rt_groups rt.Mpbgp.rt_value)
+  match Hashtbl.find t.rt_groups rt.Mpbgp.rt_value with
+  | gks -> gks
+  | exception Not_found -> []
 
 let exporting t (rt : Mpbgp.rt) =
-  Option.value ~default:[||] (Hashtbl.find_opt t.rt_routes rt.Mpbgp.rt_value)
-
-let set_exporting t (rt : Mpbgp.rt) ids =
-  if Array.length ids = 0 then Hashtbl.remove t.rt_routes rt.Mpbgp.rt_value
-  else Hashtbl.replace t.rt_routes rt.Mpbgp.rt_value ids
+  match Hashtbl.find t.rt_routes rt.Mpbgp.rt_value with
+  | s -> s
+  | exception Not_found ->
+    let s = ids_empty () in
+    Hashtbl.replace t.rt_routes rt.Mpbgp.rt_value s;
+    s
 
 (* A group's table is every live route exporting one of its imports;
-   with a single import it is the RT's own array, shared. *)
+   with a single import it is the RT's own set, shared. *)
 let fill_group t g =
   g.g_routes <-
     (match g.g_import with
      | [rt] -> exporting t rt
      | rts ->
-       Array.of_list
-         (List.sort_uniq Int.compare
-            (List.concat_map (fun rt -> Array.to_list (exporting t rt)) rts)))
+       ids_of_sorted
+         (Array.of_list
+            (List.sort_uniq Int.compare
+               (List.concat_map (fun rt -> ids_to_list (exporting t rt)) rts))))
 
 (* A new group starts from the routes already exported on its imports
    (a group re-created by an incremental add must see them). *)
@@ -152,7 +192,10 @@ let ensure_group t (c : cust) role =
     let imports =
       Service.import_rts t.pool ~topology:c.c_topology ~customer:c.c_id ~role
     in
-    let g = { g_key = k; g_import = imports; g_pes = []; g_routes = [||] } in
+    let g =
+      { g_key = k; g_import = imports; g_pes = ids_empty ();
+        g_routes = ids_empty () }
+    in
     fill_group t g;
     Hashtbl.replace t.groups k g;
     List.iter
@@ -167,28 +210,40 @@ let ensure_group t (c : cust) role =
    in one sweep at the end. *)
 let ensure_vrf t (c : cust) role pe ~wire =
   let k = vrf_key pe c.c_id role in
-  match Hashtbl.find_opt t.vrfs k with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find t.vrfs k with
+  | v -> v
+  | exception Not_found ->
     let g = ensure_group t c role in
-    g.g_pes <- ins_sorted pe g.g_pes;
+    ids_add g.g_pes pe;
     let v =
       { v_pe = pe; v_vpn = c.c_id; v_role = role;
         v_rd = Service.Pool.rd t.pool ~customer:c.c_id;
         v_export =
           Service.export_rts t.pool ~topology:c.c_topology ~customer:c.c_id
             ~role;
-        v_group = g; v_locals = [] }
+        v_group = g; v_locals = ids_empty () }
     in
     Hashtbl.replace t.vrfs k v;
     if wire then
-      Array.iter
+      ids_iter
         (fun id ->
            let r = route_exn t id in
            if r.Mpbgp.next_hop_pe <> pe then
              lsp_incr t ~ingress:pe ~egress:r.Mpbgp.next_hop_pe)
         g.g_routes;
     v
+
+let rec add_exporter t id = function
+  | [] -> ()
+  | rt :: rest ->
+    ids_add (exporting t rt) id;
+    add_exporter t id rest
+
+let rec remove_exporter t id = function
+  | [] -> ()
+  | rt :: rest ->
+    ids_remove (exporting t rt) id;
+    remove_exporter t id rest
 
 (* Design a site into existence: VRF (created if first on this PE),
    route exported with the pool's RD/RTs and the pure-function label.
@@ -212,18 +267,18 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
         vpn_label = Service.vpn_label_of_site gsid; export_rts = v.v_export;
         site = gsid }
   in
-  v.v_locals <- ins_sorted gsid v.v_locals;
-  List.iter (fun rt -> set_exporting t rt (arr_insert (exporting t rt) id))
-    v.v_export;
+  ids_add v.v_locals gsid;
+  add_exporter t id v.v_export;
   Hashtbl.replace t.site_route gsid id;
   Hashtbl.replace t.site_info gsid (site, spec.Service.role);
   (site, id)
 
 let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
+  let n = p.Portfolio.pe_count in
   let t =
-    { pe_count = p.Portfolio.pe_count;
+    { pe_count = n;
       pool = Service.Pool.create ();
-      membership = Membership.create ~pe_count:p.Portfolio.pe_count ();
+      membership = Membership.create ~pe_count:n ();
       bgp = Mpbgp.create ~mode ();
       customers = Hashtbl.create 256;
       vrfs = Hashtbl.create 1024;
@@ -232,7 +287,7 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
       rt_routes = Hashtbl.create 512;
       site_route = Hashtbl.create 1024;
       site_info = Hashtbl.create 1024;
-      lsps = Hashtbl.create 256 }
+      lsps = Array.make (n * n) 0; phases = [] }
   in
   for pe = 0 to t.pe_count - 1 do Mpbgp.add_pe t.bgp pe done;
   Array.iter
@@ -244,6 +299,13 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
   t
 
 let compile ?mode (p : Portfolio.t) =
+  let clock = ref (Sys.time ()) in
+  let phases = ref [] in
+  let lap name =
+    let now = Sys.time () in
+    phases := (name, now -. !clock) :: !phases;
+    clock := now
+  in
   let t = create ?mode p in
   (* Design every site, then one membership batch and one propagation
      round — no per-site full scans anywhere in the bulk path. *)
@@ -257,16 +319,20 @@ let compile ?mode (p : Portfolio.t) =
             sites := site :: !sites)
          c.Service.sites)
     p.Portfolio.customers;
+  lap "design";
   Membership.join_all t.membership (List.rev !sites);
+  lap "membership";
   ignore (Mpbgp.run t.bgp);
+  lap "mpbgp";
   (* Groups created early in the batch missed later routes: refill. *)
   Hashtbl.iter (fun _ g -> fill_group t g) t.groups;
+  lap "refill";
   (* Transport LSPs: one refcount per (member VRF, remote route). *)
   Hashtbl.iter
     (fun _ g ->
-       List.iter
+       ids_iter
          (fun pe ->
-            Array.iter
+            ids_iter
               (fun id ->
                  let r = route_exn t id in
                  if r.Mpbgp.next_hop_pe <> pe then
@@ -274,9 +340,58 @@ let compile ?mode (p : Portfolio.t) =
               g.g_routes)
          g.g_pes)
     t.groups;
+  lap "lsp";
+  t.phases <- List.rev !phases;
   t
 
+let phases t = t.phases
+
 (* --- incremental primitives --------------------------------------------- *)
+
+(* The per-op loops are plain loops and recursion over explicit
+   arguments, not closures: a churn op allocates only the state it
+   adds. *)
+
+let lsp_adjust t ~add ~egress pes =
+  for i = 0 to pes.n - 1 do
+    let pe = pes.a.(i) in
+    if pe <> egress then
+      if add then lsp_incr t ~ingress:pe ~egress
+      else lsp_decr t ~ingress:pe ~egress
+  done
+
+(* Route [id] (next hop [egress]) enters ([add]) or leaves each group of
+   [gks], the importers of an RT whose exporter set is [exporters];
+   [touched] grows by the member VRFs of each group that changed. A
+   group sharing the RT's set changes with it; any other group splices
+   its own, once even if it imports two of the route's RTs. *)
+let rec splice_groups t ~add exporters id ~egress touched = function
+  | [] -> touched
+  | gk :: rest ->
+    let g = Hashtbl.find t.groups gk in
+    let own = g.g_routes in
+    let changed =
+      own == exporters
+      || (ids_mem own id <> add
+          && ((if add then ids_add own id else ids_remove own id); true))
+    in
+    let touched =
+      if changed then begin
+        lsp_adjust t ~add ~egress g.g_pes;
+        touched + g.g_pes.n
+      end
+      else touched
+    in
+    splice_groups t ~add exporters id ~egress touched rest
+
+let rec splice_rts t ~add id ~egress touched = function
+  | [] -> touched
+  | rt :: rest ->
+    let touched =
+      splice_groups t ~add (exporting t rt) id ~egress touched
+        (groups_importing t rt)
+    in
+    splice_rts t ~add id ~egress touched rest
 
 let provision_site t ~customer ~sid ~pe =
   if pe < 0 || pe >= t.pe_count then
@@ -287,32 +402,15 @@ let provision_site t ~customer ~sid ~pe =
   Membership.join t.membership site;
   ignore (Mpbgp.run t.bgp);
   let r = route_exn t id in
-  let touched = ref 1 in
-  List.iter
-    (fun rt ->
-       List.iter
-         (fun gk ->
-            let g = Hashtbl.find t.groups gk in
-            if not (arr_mem g.g_routes id) then begin
-              g.g_routes <- arr_insert g.g_routes id;
-              touched := !touched + List.length g.g_pes;
-              List.iter
-                (fun pe' ->
-                   if pe' <> r.Mpbgp.next_hop_pe then
-                     lsp_incr t ~ingress:pe' ~egress:r.Mpbgp.next_hop_pe)
-                g.g_pes
-            end)
-         (groups_importing t rt))
-    r.Mpbgp.export_rts;
-  !touched
+  splice_rts t ~add:true id ~egress:r.Mpbgp.next_hop_pe 1 r.Mpbgp.export_rts
 
 let decommission_site t ~customer ~sid =
   let c = find_customer t customer in
   let gsid = Service.global_site_id ~customer ~sid in
   let site, role =
-    match Hashtbl.find_opt t.site_info gsid with
-    | Some si -> si
-    | None ->
+    match Hashtbl.find t.site_info gsid with
+    | si -> si
+    | exception Not_found ->
       invalid_arg
         (Printf.sprintf "Compile.decommission_site: no site %d.%d" customer
            sid)
@@ -322,43 +420,30 @@ let decommission_site t ~customer ~sid =
   ignore (Membership.leave t.membership ~site_id:gsid);
   ignore (Mpbgp.withdraw t.bgp id);
   ignore (Mpbgp.run t.bgp);
-  let touched = ref 1 in
   (* Prune the route from the RT index and every group that imported it,
      dropping the LSP references its readers held. *)
-  List.iter
-    (fun (rt : Mpbgp.rt) ->
-       set_exporting t rt (arr_remove (exporting t rt) id);
-       List.iter
-         (fun gk ->
-            let g = Hashtbl.find t.groups gk in
-            if arr_mem g.g_routes id then begin
-              g.g_routes <- arr_remove g.g_routes id;
-              touched := !touched + List.length g.g_pes;
-              List.iter
-                (fun pe' ->
-                   if pe' <> r.Mpbgp.next_hop_pe then
-                     lsp_decr t ~ingress:pe' ~egress:r.Mpbgp.next_hop_pe)
-                g.g_pes
-            end)
-         (groups_importing t rt))
-    r.Mpbgp.export_rts;
+  let touched =
+    splice_rts t ~add:false id ~egress:r.Mpbgp.next_hop_pe 1
+      r.Mpbgp.export_rts
+  in
+  remove_exporter t id r.Mpbgp.export_rts;
   (* Shrink the VRF; tear it down when its last local site leaves, and
      the group when its last member VRF goes — a from-scratch compile
      of the shrunken portfolio would not have them. *)
   let vk = vrf_key site.Site.pe_node c.c_id role in
   let v = Hashtbl.find t.vrfs vk in
-  v.v_locals <- rm_sorted gsid v.v_locals;
-  if v.v_locals = [] then begin
+  ids_remove v.v_locals gsid;
+  if v.v_locals.n = 0 then begin
     let g = v.v_group in
-    g.g_pes <- rm_sorted v.v_pe g.g_pes;
-    Array.iter
+    ids_remove g.g_pes v.v_pe;
+    ids_iter
       (fun id' ->
          let r' = route_exn t id' in
          if r'.Mpbgp.next_hop_pe <> v.v_pe then
            lsp_decr t ~ingress:v.v_pe ~egress:r'.Mpbgp.next_hop_pe)
       g.g_routes;
     Hashtbl.remove t.vrfs vk;
-    if g.g_pes = [] then begin
+    if g.g_pes.n = 0 then begin
       Hashtbl.remove t.groups g.g_key;
       List.iter
         (fun (rt : Mpbgp.rt) ->
@@ -370,7 +455,7 @@ let decommission_site t ~customer ~sid =
   end;
   Hashtbl.remove t.site_route gsid;
   Hashtbl.remove t.site_info gsid;
-  !touched
+  touched
 
 let retier t ~customer ~tier =
   (find_customer t customer).c_tier <- tier;
@@ -395,20 +480,20 @@ type metrics = {
 
 (* Remote view size: group entries minus the ones this PE originated. *)
 let remote_count t (v : vrf) =
-  Array.fold_left
+  ids_fold
     (fun acc id ->
        if (route_exn t id).Mpbgp.next_hop_pe <> v.v_pe then acc + 1 else acc)
-    0 v.v_group.g_routes
+    v.v_group.g_routes 0
 
 let metrics (t : t) =
   let table = ref 0 and shared_locals = ref 0 in
   Hashtbl.iter
     (fun _ v ->
-       table := !table + List.length v.v_locals + remote_count t v;
-       shared_locals := !shared_locals + List.length v.v_locals)
+       table := !table + v.v_locals.n + remote_count t v;
+       shared_locals := !shared_locals + v.v_locals.n)
     t.vrfs;
   let shared_groups =
-    Hashtbl.fold (fun _ g acc -> acc + Array.length g.g_routes) t.groups 0
+    Hashtbl.fold (fun _ g acc -> acc + g.g_routes.n) t.groups 0
   in
   let bands = Array.make Mvpn_core.Qos_mapping.band_count 0 in
   Hashtbl.iter
@@ -423,7 +508,8 @@ let metrics (t : t) =
     routes = Mpbgp.total_routes t.bgp;
     table_entries = !table;
     shared_entries = shared_groups + !shared_locals;
-    lsps = Hashtbl.length t.lsps;
+    lsps =
+      Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 t.lsps;
     control_messages = Membership.messages t.membership
                        + Mpbgp.messages_sent t.bgp;
     rds = Service.Pool.rds_allocated t.pool;
@@ -435,9 +521,9 @@ let per_pe (t : t) =
   let routes = Array.make t.pe_count 0 in
   Hashtbl.iter
     (fun _ v ->
-       sites.(v.v_pe) <- sites.(v.v_pe) + List.length v.v_locals;
+       sites.(v.v_pe) <- sites.(v.v_pe) + v.v_locals.n;
        routes.(v.v_pe) <-
-         routes.(v.v_pe) + List.length v.v_locals + remote_count t v)
+         routes.(v.v_pe) + v.v_locals.n + remote_count t v)
     t.vrfs;
   Array.init t.pe_count (fun pe -> (sites.(pe), routes.(pe)))
 
@@ -447,18 +533,18 @@ let qos_policy t ~customer =
 
 let vrf_locals (t : t) ~pe ~customer ~role =
   match Hashtbl.find_opt t.vrfs (vrf_key pe customer role) with
-  | Some v -> v.v_locals
+  | Some v -> ids_to_list v.v_locals
   | None -> []
 
 let vrf_table (t : t) ~pe ~customer ~role =
   match Hashtbl.find_opt t.vrfs (vrf_key pe customer role) with
   | None -> []
   | Some v ->
-    Array.fold_left
+    ids_fold
       (fun acc id ->
          let r = route_exn t id in
          if r.Mpbgp.next_hop_pe <> pe then r :: acc else acc)
-      [] v.v_group.g_routes
+      v.v_group.g_routes []
     |> List.rev
 
 (* Canonical by content, never by intern id or insertion order: an
@@ -491,7 +577,7 @@ let fingerprint (t : t) =
                  (Mpbgp.rd_to_string r.Mpbgp.rd)
                  (Prefix.to_string r.Mpbgp.prefix)
                  r.Mpbgp.next_hop_pe r.Mpbgp.vpn_label ))
-          g.g_routes
+          (Array.sub g.g_routes.a 0 g.g_routes.n)
       in
       Array.sort (fun (_, x) (_, y) -> String.compare x y) e;
       Hashtbl.replace canon g.g_key e;
@@ -512,7 +598,7 @@ let fingerprint (t : t) =
          (Mpbgp.rd_to_string v.v_rd)
          (rt_values v.v_export)
          (rt_values v.v_group.g_import)
-         (String.concat "," (List.map string_of_int v.v_locals));
+         (String.concat "," (List.map string_of_int (ids_to_list v.v_locals)));
        Array.iter
          (fun (nh, s) ->
             if nh <> v.v_pe then begin
@@ -521,9 +607,15 @@ let fingerprint (t : t) =
             end)
          (group_entries v.v_group))
     (sorted_by (fun v -> vrf_key v.v_pe v.v_vpn v.v_role) t.vrfs);
-  List.iter
-    (fun (k, n) -> Printf.bprintf b "L%d:%d;" k n)
-    (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.lsps []));
+  (* Row-major over (ingress, egress) is ascending key order: egress <
+     256 fits the key's low byte. *)
+  Array.iteri
+    (fun i n ->
+       if n > 0 then
+         Printf.bprintf b "L%d:%d;"
+           (lsp_key ~ingress:(i / t.pe_count) ~egress:(i mod t.pe_count))
+           n)
+    t.lsps;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let equal a b = String.equal (fingerprint a) (fingerprint b)

@@ -12,7 +12,7 @@
 
     - routes are interned once in {!Mvpn_routing.Mpbgp}'s store; every
       table here holds integer ids;
-    - VRFs with the same import signature share one immutable sorted
+    - VRFs with the same import signature share one sorted
       route table (a {e group}) — the per-VRF view is "the group table
       minus routes whose next hop is my own PE", computed at query
       time, never copied. Per-PE state is Σ attached-site VRF locals
@@ -31,6 +31,13 @@ val compile : ?mode:Mvpn_routing.Mpbgp.session_mode -> Portfolio.t -> t
 (** Bulk compile of a whole portfolio: one membership batch, one BGP
     propagation round, group tables and LSP refcounts filled in a
     single pass over the interned store. *)
+
+val phases : t -> (string * float) list
+(** CPU seconds ({!Sys.time}) the bulk {!compile} that built [t] spent
+    in each layer, in order: ["design"] (VRFs, groups and MP-BGP
+    exports), ["membership"] (the join batch), ["mpbgp"] (the
+    propagation run), ["refill"] (group tables) and ["lsp"] (the LSP
+    refcount sweep). *)
 
 val pe_count : t -> int
 val membership : t -> Mvpn_core.Membership.t

@@ -4,6 +4,12 @@ module Mpbgp = Mvpn_routing.Mpbgp
 
 type stats = { ops : int; touched_vrfs : int; messages : int }
 
+(* Registered on first use, as a lookup by name would be, then held:
+   the lookup itself allocates, once per op. *)
+let ops_counter = lazy (T.Registry.counter "provision.delta.ops")
+
+let touched_counter = lazy (T.Registry.counter "provision.delta.touched_vrfs")
+
 let apply t op =
   let touched =
     match op with
@@ -14,8 +20,8 @@ let apply t op =
     | Portfolio.Change_tier { customer; tier } ->
       Compile.retier t ~customer ~tier
   in
-  T.Counter.incr (T.Registry.counter "provision.delta.ops");
-  T.Counter.add (T.Registry.counter "provision.delta.touched_vrfs") touched;
+  T.Counter.incr (Lazy.force ops_counter);
+  T.Counter.add (Lazy.force touched_counter) touched;
   touched
 
 let control_messages t =

@@ -31,22 +31,27 @@ let key_of (r : vpnv4_route) : key =
 
 (* One route record lives once, in the interned store; every table that
    holds it — the owner's exports, every remote PE's Adj-RIB-In, any
-   VRF route group built on top — keeps only its integer id. At 100k+
-   routes times a dozen importing PEs this is the difference between a
-   dozen copies of every announcement and one. *)
+   VRF route group built on top — keeps only its integer id. Ids are
+   dense ([0 .. next_id)), so the Adj-RIB-In is a bitset over them: at
+   100k+ routes times a dozen importing PEs that is a bit per route per
+   PE instead of a hashtable binding. *)
 
 type pe_state = {
   pe : int;
   exported : (key, int) Hashtbl.t;  (* logical announcement -> route id *)
-  received : (int, unit) Hashtbl.t;  (* interned ids, store shared *)
+  mutable received : Bytes.t;  (* Adj-RIB-In: bit [id] set, grown on demand *)
 }
 
-(* What a dirty route needs at the next {!run}: [New] has never been
-   propagated (deliver everywhere, count per table that gains it),
-   [Update] changed content in place (everyone already has the id, count
-   one UPDATE per session the mode implies), [Retract] must leave every
-   Adj-RIB-In it reached (count per removal). *)
-type pending = New | Update | Retract
+(* The journal tag of an id, one byte each: what it needs at the next
+   {!run}. [added] has never been propagated (deliver everywhere, count
+   per table that gains it), [update] changed content in place
+   (everyone already has the id, count one UPDATE per receiving PE),
+   [retract] must leave every Adj-RIB-In it reached (count per
+   removal). *)
+let clean = 0
+let added = 1
+let update = 2
+let retract = 3
 
 type t = {
   mode : session_mode;
@@ -54,22 +59,23 @@ type t = {
   by_pe : (int, pe_state) Hashtbl.t;
   mutable messages : int;
   mutable store : vpnv4_route option array;  (* id -> interned route *)
+  mutable tags : Bytes.t;  (* id -> journal tag, as long as [store] *)
+  mutable dirty : int list;  (* ids tagged since the last run *)
   mutable next_id : int;
-  pending : (int, pending) Hashtbl.t;  (* dirty journal since last run *)
   mutable fresh : int list;  (* PEs added since last run, to back-fill *)
 }
 
 let create ?(mode = Full_mesh) () =
   { mode; pes = []; by_pe = Hashtbl.create 16; messages = 0;
-    store = Array.make 64 None; next_id = 0;
-    pending = Hashtbl.create 64; fresh = [] }
+    store = Array.make 64 None; tags = Bytes.make 64 '\000'; dirty = [];
+    next_id = 0; fresh = [] }
 
 let find_pe t pe = Hashtbl.find_opt t.by_pe pe
 
 let add_pe t pe =
   if find_pe t pe <> None then
     invalid_arg (Printf.sprintf "Mpbgp.add_pe: duplicate PE %d" pe);
-  let s = { pe; exported = Hashtbl.create 32; received = Hashtbl.create 64 } in
+  let s = { pe; exported = Hashtbl.create 32; received = Bytes.empty } in
   t.pes <- t.pes @ [s];
   Hashtbl.replace t.by_pe pe s;
   t.fresh <- pe :: t.fresh
@@ -83,15 +89,67 @@ let session_count t =
   | Route_reflector _ -> max 0 (n - 1)
 
 let get_pe t pe =
-  match find_pe t pe with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Mpbgp: unknown PE %d" pe)
+  match Hashtbl.find t.by_pe pe with
+  | s -> s
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Mpbgp: unknown PE %d" pe)
+
+(* --- Adj-RIB-In bitset ---------------------------------------------------- *)
+
+let has s id =
+  let i = id lsr 3 in
+  i < Bytes.length s.received
+  && Bytes.get_uint8 s.received i land (1 lsl (id land 7)) <> 0
+
+(* A bitset grows to cover [cap] ids, the store's capacity, so it
+   regrows only when the store itself doubles. *)
+let set_bit s ~cap id =
+  let i = id lsr 3 in
+  let n = Bytes.length s.received in
+  if i >= n then begin
+    let bigger = Bytes.make (max (i + 1) ((cap + 7) / 8)) '\000' in
+    Bytes.blit s.received 0 bigger 0 n;
+    s.received <- bigger
+  end;
+  Bytes.set_uint8 s.received i
+    (Bytes.get_uint8 s.received i lor (1 lsl (id land 7)))
+
+let clear_bit s id =
+  let i = id lsr 3 in
+  Bytes.set_uint8 s.received i
+    (Bytes.get_uint8 s.received i land lnot (1 lsl (id land 7)))
+
+(* [fold_received s f acc] folds [f] over the received ids in
+   descending order, skipping zero bytes, so consing yields an
+   ascending list. *)
+let fold_received s f acc =
+  let acc = ref acc in
+  for i = Bytes.length s.received - 1 downto 0 do
+    let b = Bytes.get_uint8 s.received i in
+    if b <> 0 then
+      for j = 7 downto 0 do
+        if b land (1 lsl j) <> 0 then acc := f ((i lsl 3) lor j) !acc
+      done
+  done;
+  !acc
+
+(* --- store and journal ---------------------------------------------------- *)
+
+let tag t id = Bytes.get_uint8 t.tags id
+
+let mark t id v =
+  if tag t id = clean then t.dirty <- id :: t.dirty;
+  Bytes.set_uint8 t.tags id v
 
 let alloc t r =
-  if t.next_id = Array.length t.store then begin
-    let bigger = Array.make (2 * Array.length t.store) None in
-    Array.blit t.store 0 bigger 0 t.next_id;
-    t.store <- bigger
+  let n = Array.length t.store in
+  if t.next_id = n then begin
+    let bigger = Array.make (2 * n) None in
+    Array.blit t.store 0 bigger 0 n;
+    t.store <- bigger;
+    let tags = Bytes.make (2 * n) '\000' in
+    Bytes.blit t.tags 0 tags 0 n;
+    t.tags <- tags
   end;
   let id = t.next_id in
   t.store.(id) <- Some r;
@@ -101,8 +159,8 @@ let alloc t r =
 let export t route =
   let s = get_pe t route.next_hop_pe in
   let k = key_of route in
-  match Hashtbl.find_opt s.exported k with
-  | Some id ->
+  match Hashtbl.find s.exported k with
+  | id ->
     (match t.store.(id) with
      | Some old when old = route -> id
      | old ->
@@ -116,13 +174,12 @@ let export t route =
          | None -> true
        in
        t.store.(id) <- Some route;
-       if noisy && not (Hashtbl.mem t.pending id) then
-         Hashtbl.replace t.pending id Update;
+       if noisy && tag t id = clean then mark t id update;
        id)
-  | None ->
+  | exception Not_found ->
     let id = alloc t route in
     Hashtbl.replace s.exported k id;
-    Hashtbl.replace t.pending id New;
+    mark t id added;
     id
 
 let export_route t route = ignore (export t route)
@@ -138,17 +195,15 @@ let withdraw t id =
   | Some r ->
     let s = get_pe t r.next_hop_pe in
     let k = key_of r in
-    if Hashtbl.find_opt s.exported k <> Some id then false
-    else begin
+    match Hashtbl.find s.exported k with
+    | live when live = id ->
       Hashtbl.remove s.exported k;
-      (match Hashtbl.find_opt t.pending id with
-       | Some New ->
-         (* Announced and retracted between runs: nobody ever saw it. *)
-         Hashtbl.remove t.pending id;
-         t.store.(id) <- None
-       | _ -> Hashtbl.replace t.pending id Retract);
+      (* Announced and retracted between runs: nobody ever saw it, and
+         {!run} finds nothing to send for a dead slot. *)
+      if tag t id = added then t.store.(id) <- None
+      else mark t id retract;
       true
-    end
+    | _ | (exception Not_found) -> false
 
 let withdraw_site t ~pe ~site =
   Hashtbl.fold
@@ -159,112 +214,124 @@ let withdraw_site t ~pe ~site =
     (get_pe t pe).exported []
   |> List.fold_left (fun n id -> if withdraw t id then n + 1 else n) 0
 
-(* Who receives an announcement from [src] under the session mode:
-   full mesh sends to every other PE; with a route reflector, clients
-   send one copy to the RR which reflects to the remaining clients. *)
-let targets t src f =
-  match t.mode with
-  | Full_mesh -> List.iter (fun d -> if d.pe <> src then f d) t.pes
-  | Route_reflector rr ->
-    if src = rr then List.iter (fun d -> if d.pe <> rr then f d) t.pes
-    else begin
-      f (get_pe t rr);
-      List.iter (fun d -> if d.pe <> src && d.pe <> rr then f d) t.pes
-    end
+(* Who receives an announcement: every PE but its origin, one UPDATE
+   each, in either session mode — full mesh sends to every other PE
+   directly; with a route reflector a client sends one copy to the RR,
+   which reflects one to each remaining client.
 
-let run t =
+   The propagation loops below are plain recursion over explicit
+   arguments, not closures: a run allocates nothing per route, so a
+   churn op's cost is the state it changes. *)
+
+(* UPDATEs for offering [id] to [d]: one if [d] gains it, or already
+   holds it and its content [changed]. *)
+let deliver t ~changed d id =
+  if has d id then if changed then 1 else 0
+  else begin
+    set_bit d ~cap:(Array.length t.store) id;
+    1
+  end
+
+let rec deliver_all t ~changed ~origin id sent = function
+  | [] -> sent
+  | d :: rest ->
+    let sent = if d.pe = origin then sent else sent + deliver t ~changed d id in
+    deliver_all t ~changed ~origin id sent rest
+
+let rec retract_all id sent = function
+  | [] -> sent
+  | d :: rest ->
+    let sent =
+      if has d id then begin
+        clear_bit d id;
+        sent + 1
+      end
+      else sent
+    in
+    retract_all id sent rest
+
+(* Late-joining PE [pe]: back-fill the full current table, one UPDATE
+   per route the newcomer gains. A live id with a clean tag is exactly a
+   propagated export; tagged ids are skipped — the journal pass reaches
+   the newcomer too. *)
+let backfill t pe =
+  let d = get_pe t pe in
   let sent = ref 0 in
-  let deliver ~changed dst id =
-    if Hashtbl.mem dst.received id then begin
-      if changed then incr sent
-    end else begin
-      Hashtbl.replace dst.received id ();
-      incr sent
-    end
-  in
-  (* Late-joining PEs first: back-fill the full current table, one
-     UPDATE per route the newcomer gains. Routes already in the journal
-     are skipped — the journal pass below reaches the newcomer too. *)
-  List.iter
-    (fun pe ->
-       List.iter
-         (fun src ->
-            if src.pe <> pe then
-              Hashtbl.iter
-                (fun _ id ->
-                   if not (Hashtbl.mem t.pending id) then
-                     targets t src.pe (fun d ->
-                         if d.pe = pe then deliver ~changed:false d id))
-                src.exported)
-         t.pes)
-    t.fresh;
-  t.fresh <- [];
-  let entries = Hashtbl.fold (fun id p acc -> (id, p) :: acc) t.pending [] in
-  Hashtbl.reset t.pending;
-  List.iter
-    (fun (id, p) ->
-       match p with
-       | Retract ->
-         List.iter
-           (fun d ->
-              if Hashtbl.mem d.received id then begin
-                Hashtbl.remove d.received id;
-                incr sent
-              end)
-           t.pes;
-         t.store.(id) <- None
-       | New | Update ->
-         (match t.store.(id) with
-          | None -> ()
-          | Some r ->
-            targets t r.next_hop_pe (fun d ->
-                deliver ~changed:(p = Update) d id)))
-    entries;
-  t.messages <- t.messages + !sent;
+  for id = 0 to t.next_id - 1 do
+    match t.store.(id) with
+    | Some r when r.next_hop_pe <> pe && tag t id = clean ->
+      sent := !sent + deliver t ~changed:false d id
+    | _ -> ()
+  done;
   !sent
 
+(* The journal pass: every dirty id, in journal order, cleaned. *)
+let rec drain t sent = function
+  | [] -> sent
+  | id :: rest ->
+    let p = tag t id in
+    Bytes.set_uint8 t.tags id clean;
+    let sent =
+      if p = retract then begin
+        t.store.(id) <- None;
+        retract_all id sent t.pes
+      end
+      else
+        match t.store.(id) with
+        | None -> sent
+        | Some r ->
+          deliver_all t ~changed:(p = update) ~origin:r.next_hop_pe id sent
+            t.pes
+    in
+    drain t sent rest
+
+let rec backfill_all t sent = function
+  | [] -> sent
+  | pe :: rest -> backfill_all t (sent + backfill t pe) rest
+
+let run t =
+  let sent = backfill_all t 0 t.fresh in
+  t.fresh <- [];
+  let dirty = t.dirty in
+  t.dirty <- [];
+  let sent = drain t sent dirty in
+  t.messages <- t.messages + sent;
+  sent
+
+(* A live id not being retracted is exactly a current export. *)
+let exported_now t id = tag t id <> retract
+
 let iter_exported t f =
-  List.iter
-    (fun s ->
-       Hashtbl.iter
-         (fun _ id ->
-            match t.store.(id) with Some r -> f id r | None -> ())
-         s.exported)
-    t.pes
+  for id = 0 to t.next_id - 1 do
+    match t.store.(id) with
+    | Some r when exported_now t id -> f id r
+    | _ -> ()
+  done
 
 let routes_at t pe =
   let s = get_pe t pe in
-  let own =
-    Hashtbl.fold
-      (fun _ id acc ->
-         match t.store.(id) with Some r -> r :: acc | None -> acc)
-      s.exported []
-  in
-  Hashtbl.fold
-    (fun id () acc ->
-       match t.store.(id) with Some r -> r :: acc | None -> acc)
-    s.received own
+  let acc = ref [] in
+  for id = t.next_id - 1 downto 0 do
+    match t.store.(id) with
+    | Some r when has s id || (r.next_hop_pe = pe && exported_now t id) ->
+      acc := r :: !acc
+    | _ -> ()
+  done;
+  !acc
 
 let rts_intersect a b =
   List.exists (fun x -> List.exists (rt_equal x) b) a
 
-let import t ~pe ~import_rts =
-  let s = get_pe t pe in
-  Hashtbl.fold
-    (fun id () acc ->
-       match t.store.(id) with
-       | Some r when rts_intersect r.export_rts import_rts -> r :: acc
-       | _ -> acc)
-    s.received []
-
 let import_ids t ~pe ~import_rts =
-  let s = get_pe t pe in
-  Hashtbl.fold
-    (fun id () acc ->
+  fold_received (get_pe t pe)
+    (fun id acc ->
        match t.store.(id) with
        | Some r when rts_intersect r.export_rts import_rts -> id :: acc
        | _ -> acc)
-    s.received []
+    []
+
+let import t ~pe ~import_rts =
+  List.filter_map (find_route t) (import_ids t ~pe ~import_rts)
 
 let total_routes t =
   List.fold_left (fun acc s -> acc + Hashtbl.length s.exported) 0 t.pes

@@ -10,16 +10,20 @@
     spaces overlap.
 
     Sessions are either a full iBGP mesh among the PEs or a route
-    reflector — the state-growth knob of experiment E1/E3.
+    reflector — the state-growth knob of experiment E1/E3. Either way a
+    route reaches every PE but its origin, one UPDATE per receiver.
 
     Internally every route record is interned once in a shared store
     and all tables (the owner's exports, each remote PE's Adj-RIB-In,
     any VRF groups built on top by {!Mvpn_provision}) hold only integer
     ids — at provisioning scale (E19: 10k VPNs, 100k+ routes) this is
-    what keeps per-PE memory a constant factor of the route count.
-    Propagation is incremental: exports and withdrawals land in a dirty
-    journal and {!run} touches only journaled routes (plus any PE added
-    since the last run, which is back-filled), never the full table. *)
+    what keeps per-PE memory a constant factor of the route count. Ids
+    are dense ([0 .. store_size)), so each Adj-RIB-In is a bitset over
+    them — one bit per interned id per PE — and the dirty journal is
+    one tag byte per id plus a stack of the ids tagged since the last
+    {!run}. Propagation is incremental: {!run} touches only journaled
+    routes (plus any PE added since the last run, which is back-filled
+    by one scan of the store), never the full table. *)
 
 type rd = { rd_asn : int; rd_assigned : int }
 (** Route distinguisher [asn:assigned]. *)
@@ -73,8 +77,8 @@ val find_route : t -> int -> vpnv4_route option
     withdrawn and flushed by {!run} (or if the id was never issued). *)
 
 val iter_exported : t -> (int -> vpnv4_route -> unit) -> unit
-(** Every live announcement in the system with its interned id, in no
-    particular order. *)
+(** Every live announcement in the system with its interned id, in
+    ascending id order. *)
 
 val withdraw : t -> int -> bool
 (** Withdraw one announcement by its interned id (as returned by
@@ -99,16 +103,19 @@ val run : t -> int
     returns 0 and a single-site change costs O(PEs), not O(routes). *)
 
 val routes_at : t -> int -> vpnv4_route list
-(** All VPNv4 routes a PE has received (plus its own exports). *)
+(** All VPNv4 routes a PE has received (plus its own exports), in
+    ascending id order. An O(store) scan. *)
 
 val import : t -> pe:int -> import_rts:rt list -> vpnv4_route list
 (** The routes a VRF with the given import list would install at a PE:
     received routes whose export RTs intersect [import_rts]. Routes the
     PE itself exported are excluded (a VRF already holds its local
-    routes). *)
+    routes). Ascending id order; an O(store) scan of the PE's bitset
+    that skips empty bytes. *)
 
 val import_ids : t -> pe:int -> import_rts:rt list -> int list
-(** {!import}, but as interned ids — what a compact VRF table stores. *)
+(** {!import}, but as interned ids — what a compact VRF table stores.
+    Ascending, by the same scan. *)
 
 val total_routes : t -> int
 (** Distinct (RD, prefix, PE) announcements in the system. *)

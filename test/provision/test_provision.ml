@@ -44,6 +44,29 @@ let test_pure_identifiers () =
   Alcotest.(check int) "label is a pure function" (16 + g)
     (Service.vpn_label_of_site g)
 
+(* The prefix is built from octets; pin it to the dotted-quad string it
+   was once parsed from. *)
+let test_site_prefix () =
+  List.iter
+    (fun sid ->
+       Alcotest.(check string)
+         (Printf.sprintf "sid %d" sid)
+         (Printf.sprintf "10.%d.%d.0/24" (sid lsr 8) (sid land 0xff))
+         (Mvpn_net.Prefix.to_string (Service.site_prefix ~sid));
+       Alcotest.(check bool)
+         (Printf.sprintf "sid %d equals the parsed prefix" sid)
+         true
+         (Service.site_prefix ~sid
+          = Mvpn_net.Prefix.of_string_exn
+              (Printf.sprintf "10.%d.%d.0/24" (sid lsr 8) (sid land 0xff))))
+    [ 0; 1; 255; 256; 0x1234; 0xffff ];
+  List.iter
+    (fun sid ->
+       match Service.site_prefix ~sid with
+       | _ -> Alcotest.failf "sid %d accepted" sid
+       | exception Invalid_argument _ -> ())
+    [ -1; 0x10000 ]
+
 (* --- generator determinism (Rng.split substream hygiene) ----------------- *)
 
 let test_generator_order_independence () =
@@ -224,6 +247,54 @@ let test_remove_cost_independent_of_portfolio () =
       "removal allocates %.0f words at 2000 customers vs %.0f at 200" w_big
       w_small
 
+(* A site spliced in and out allocates the records it adds, never a
+   copy of its customer's tables: the same two ops on the biggest and
+   the smallest of 1,000 customers allocate alike (words counted minor
+   and major, since a large copy goes straight to the major heap). *)
+let test_site_ops_allocation_independent_of_customer_size () =
+  let p = Portfolio.generate ~seed:5 ~customers:1000 () in
+  let t = Compile.compile p in
+  (* The new site lands on a PE where its role's VRF exists, so neither
+     op creates or tears down a VRF. *)
+  let slot (c : Service.customer) =
+    let sid =
+      1 + List.fold_left (fun m s -> max m s.Service.sid) 0 c.Service.sites
+    in
+    let role = Service.default_role c.Service.topology ~sid in
+    List.find_opt (fun s -> s.Service.role = role) c.Service.sites
+    |> Option.map (fun s -> (c, sid, s.Service.pe))
+  in
+  let slots =
+    List.filter_map
+      (fun id -> slot (Portfolio.customer p id))
+      (List.init 1000 (fun i -> i + 1))
+  in
+  let size ((c : Service.customer), _, _) = List.length c.Service.sites in
+  let pick better =
+    List.fold_left
+      (fun best x -> if better (size x) (size best) then x else best)
+      (List.hd slots) slots
+  in
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let words ((c : Service.customer), sid, pe) =
+    let customer = c.Service.id in
+    let w0 = allocated () in
+    ignore (Delta.apply t (Portfolio.Add_site { customer; sid; pe }));
+    ignore (Delta.apply t (Portfolio.Remove_site { customer; sid }));
+    allocated () -. w0
+  in
+  let big = pick ( > ) and small = pick ( < ) in
+  Alcotest.(check bool) "sizes differ" true (size big >= 20 * size small);
+  let w_big = words big and w_small = words small in
+  if w_big > 2.0 *. w_small then
+    Alcotest.failf
+      "add+remove allocates %.0f words on a %d-site customer vs %.0f on a \
+       %d-site one"
+      w_big (size big) w_small (size small)
+
 let prop_random_interleavings_converge =
   QCheck.Test.make ~name:"random delta interleavings converge to the oracle"
     ~count:40
@@ -252,7 +323,12 @@ let test_metrics_accounting () =
     (m.Compile.shared_entries <= m.Compile.table_entries);
   Alcotest.(check int) "customers per band sum up"
     m.Compile.customers
-    (Array.fold_left ( + ) 0 m.Compile.bands)
+    (Array.fold_left ( + ) 0 m.Compile.bands);
+  Alcotest.(check (list string)) "compile phases in order"
+    [ "design"; "membership"; "mpbgp"; "refill"; "lsp" ]
+    (List.map fst (Compile.phases t));
+  Alcotest.(check bool) "phase times are CPU seconds" true
+    (List.for_all (fun (_, s) -> s >= 0.0) (Compile.phases t))
 
 let test_materialize_agrees_with_compile () =
   (* Mpls_vpn provisions one any-to-any RT per VPN, so the deployable
@@ -279,7 +355,8 @@ let () =
     [ ("service",
        [ Alcotest.test_case "pool idempotent, distinct" `Quick
            test_pool_idempotent_and_distinct;
-         Alcotest.test_case "pure identifiers" `Quick test_pure_identifiers ]);
+         Alcotest.test_case "pure identifiers" `Quick test_pure_identifiers;
+         Alcotest.test_case "site prefix pinned" `Quick test_site_prefix ]);
       ("portfolio",
        [ Alcotest.test_case "generator order independence" `Quick
            test_generator_order_independence;
@@ -306,4 +383,6 @@ let () =
            test_delta_recreated_group_backfills;
          Alcotest.test_case "remove cost independent of portfolio size"
            `Quick test_remove_cost_independent_of_portfolio;
+         Alcotest.test_case "site ops allocation independent of customer size"
+           `Quick test_site_ops_allocation_independent_of_customer_size;
          qt prop_random_interleavings_converge ]) ]

@@ -528,6 +528,275 @@ let test_mpbgp_run_idempotent () =
   Alcotest.(check bool) "work on first run" true (first > 0);
   Alcotest.(check int) "second run is a no-op" 0 (Mpbgp.run m)
 
+(* Reference model for the MP-BGP tables: a hashtable Adj-RIB-In per
+   PE and a New/Update/Retract journal, delivering through the session
+   mode's own fan-out (full mesh, or client -> RR -> other clients). *)
+module Mpbgp_model = struct
+  type j = New | Update | Retract
+
+  type t = {
+    rr : int option;
+    mutable pes : int list;
+    rib : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+    store : (int, Mpbgp.vpnv4_route) Hashtbl.t;
+    keys : (Mpbgp.rd * Prefix.t * int, int) Hashtbl.t;
+    pending : (int, j) Hashtbl.t;
+    mutable next : int;
+    mutable fresh : int list;
+    mutable sent : int;
+  }
+
+  let create rr =
+    { rr; pes = []; rib = Hashtbl.create 8; store = Hashtbl.create 64;
+      keys = Hashtbl.create 64; pending = Hashtbl.create 64; next = 0;
+      fresh = []; sent = 0 }
+
+  let key (r : Mpbgp.vpnv4_route) =
+    (r.Mpbgp.rd, r.Mpbgp.prefix, r.Mpbgp.next_hop_pe)
+
+  let add_pe t pe =
+    t.pes <- t.pes @ [pe];
+    Hashtbl.replace t.rib pe (Hashtbl.create 8);
+    t.fresh <- pe :: t.fresh
+
+  let export t (r : Mpbgp.vpnv4_route) =
+    match Hashtbl.find_opt t.keys (key r) with
+    | Some id ->
+      let o = Hashtbl.find t.store id in
+      if (o.Mpbgp.vpn_label <> r.Mpbgp.vpn_label
+          || o.Mpbgp.export_rts <> r.Mpbgp.export_rts)
+      && not (Hashtbl.mem t.pending id)
+      then Hashtbl.replace t.pending id Update;
+      Hashtbl.replace t.store id r;
+      id
+    | None ->
+      let id = t.next in
+      t.next <- id + 1;
+      Hashtbl.replace t.store id r;
+      Hashtbl.replace t.keys (key r) id;
+      Hashtbl.replace t.pending id New;
+      id
+
+  let withdraw t id =
+    match Hashtbl.find_opt t.store id with
+    | Some r when Hashtbl.find_opt t.keys (key r) = Some id ->
+      Hashtbl.remove t.keys (key r);
+      if Hashtbl.find_opt t.pending id = Some New then begin
+        Hashtbl.remove t.pending id;
+        Hashtbl.remove t.store id
+      end
+      else Hashtbl.replace t.pending id Retract;
+      true
+    | _ -> false
+
+  let withdraw_site t ~pe ~site =
+    Hashtbl.fold
+      (fun (_, _, p) id acc ->
+         if p = pe && (Hashtbl.find t.store id).Mpbgp.site = site then id :: acc
+         else acc)
+      t.keys []
+    |> List.filter (withdraw t)
+    |> List.length
+
+  let targets t src f =
+    match t.rr with
+    | None -> List.iter (fun d -> if d <> src then f d) t.pes
+    | Some rr when src = rr -> List.iter (fun d -> if d <> rr then f d) t.pes
+    | Some rr ->
+      f rr;
+      List.iter (fun d -> if d <> src && d <> rr then f d) t.pes
+
+  let run t =
+    let n0 = t.sent in
+    let send () = t.sent <- t.sent + 1 in
+    let deliver ~changed d id =
+      let rib = Hashtbl.find t.rib d in
+      if not (Hashtbl.mem rib id) then begin
+        Hashtbl.replace rib id ();
+        send ()
+      end
+      else if changed then send ()
+    in
+    List.iter
+      (fun pe ->
+         Hashtbl.iter
+           (fun (_, _, src) id ->
+              if src <> pe && not (Hashtbl.mem t.pending id) then
+                targets t src (fun d ->
+                    if d = pe then deliver ~changed:false d id))
+           t.keys)
+      t.fresh;
+    t.fresh <- [];
+    Hashtbl.iter
+      (fun id j ->
+         match j with
+         | Retract ->
+           Hashtbl.iter
+             (fun _ rib ->
+                if Hashtbl.mem rib id then begin
+                  Hashtbl.remove rib id;
+                  send ()
+                end)
+             t.rib;
+           Hashtbl.remove t.store id
+         | New | Update ->
+           targets t (Hashtbl.find t.store id).Mpbgp.next_hop_pe (fun d ->
+               deliver ~changed:(j = Update) d id))
+      t.pending;
+    Hashtbl.reset t.pending;
+    t.sent - n0
+
+  let rib_ids t pe =
+    List.sort Int.compare
+      (Hashtbl.fold (fun id () acc -> id :: acc) (Hashtbl.find t.rib pe) [])
+
+  let import_ids t pe rts =
+    List.filter
+      (fun id ->
+         List.exists
+           (fun x -> List.exists (Mpbgp.rt_equal x) rts)
+           (Hashtbl.find t.store id).Mpbgp.export_rts)
+      (rib_ids t pe)
+
+  let routes_at t pe =
+    Hashtbl.fold (fun (_, _, p) id acc -> if p = pe then id :: acc else acc)
+      t.keys (rib_ids t pe)
+    |> List.sort Int.compare
+    |> List.map (Hashtbl.find t.store)
+end
+
+type bgp_op =
+  | Add_pe
+  | Export of { pe : int; rd : int; prefix : int; label : int; rts : int;
+                site : int }
+  | Withdraw of int  (* index into the ids exported so far *)
+  | Withdraw_site of { pe : int; site : int }
+  | Run
+
+let show_bgp_op = function
+  | Add_pe -> "add_pe"
+  | Export e ->
+    Printf.sprintf "export(pe%d rd%d p%d l%d rt%d s%d)" e.pe e.rd e.prefix
+      e.label e.rts e.site
+  | Withdraw k -> Printf.sprintf "withdraw#%d" k
+  | Withdraw_site { pe; site } ->
+    Printf.sprintf "withdraw_site(pe%d s%d)" pe site
+  | Run -> "run"
+
+let bgp_ops =
+  let open QCheck.Gen in
+  (* Tiny key, label and RT domains, so re-exports with identical and
+     with changed content are common. *)
+  let export =
+    map2
+      (fun (pe, rd, prefix) (label, rts, site) ->
+         Export { pe; rd; prefix; label; rts; site })
+      (triple (int_bound 7) (int_bound 1) (int_bound 15))
+      (triple (int_bound 1) (int_bound 2) (int_bound 1))
+  in
+  let op =
+    frequency
+      [ (1, return Add_pe); (6, export);
+        (3, map (fun k -> Withdraw k) (int_bound 200));
+        (1, map2 (fun pe site -> Withdraw_site { pe; site }) (int_bound 7)
+             (int_bound 1));
+        (2, return Run) ]
+  in
+  (* 70 distinct keys, then a run and a PE added late: the bitset and
+     tag arrays grow past 64 ids, and after routes already exist. *)
+  let warm =
+    map
+      (List.mapi (fun i (pe, label) ->
+           Export { pe; rd = 0; prefix = 16 + i; label; rts = 0; site = 0 }))
+      (list_repeat 70 (pair (int_bound 7) (int_bound 1)))
+  in
+  map3
+    (fun pre warm post -> pre @ warm @ (Run :: Add_pe :: post) @ [ Run ])
+    (list_size (int_bound 30) op) warm
+    (list_size (int_range 40 150) op)
+
+let rt_sets = [ [ rt 1 ]; [ rt 2 ]; [ rt 3 ]; [ rt 1; rt 2 ] ]
+
+let rts_of = function 0 -> [ rt 1 ] | 1 -> [ rt 2 ] | _ -> [ rt 1; rt 3 ]
+
+(* Replays [ops] on Mpbgp and the model side by side: every return value
+   must agree, and after every run so must the message count, each PE's
+   Adj-RIB-In views, the route total and find_route liveness. *)
+let mpbgp_agrees mode ops =
+  let m = Mpbgp.create ~mode () in
+  let model =
+    Mpbgp_model.create
+      (match mode with
+       | Mpbgp.Route_reflector rr -> Some rr
+       | Mpbgp.Full_mesh -> None)
+  in
+  let pes = ref 0 and issued = ref [] in
+  let add_pe () =
+    if !pes < 8 then begin
+      Mpbgp.add_pe m !pes;
+      Mpbgp_model.add_pe model !pes;
+      incr pes
+    end
+  in
+  for _ = 1 to 3 do add_pe () done;
+  let views () =
+    Mpbgp.total_routes m = Hashtbl.length model.Mpbgp_model.keys
+    && Mpbgp.messages_sent m = model.Mpbgp_model.sent
+    && List.for_all
+         (fun pe ->
+            Mpbgp.routes_at m pe = Mpbgp_model.routes_at model pe
+            && List.for_all
+                 (fun rts ->
+                    let ids = Mpbgp_model.import_ids model pe rts in
+                    Mpbgp.import_ids m ~pe ~import_rts:rts = ids
+                    && Mpbgp.import m ~pe ~import_rts:rts
+                       = List.map (Hashtbl.find model.Mpbgp_model.store) ids)
+                 rt_sets)
+         (List.init !pes Fun.id)
+    && List.for_all
+         (fun id ->
+            Option.is_some (Mpbgp.find_route m id)
+            = Hashtbl.mem model.Mpbgp_model.store id)
+         (List.init (Mpbgp.store_size m + 2) Fun.id)
+  in
+  let step = function
+    | Add_pe ->
+      add_pe ();
+      true
+    | Export e ->
+      let r =
+        vpn_route ~site:e.site ~rd:(rd e.rd) ~pe:(e.pe mod !pes)
+          ~label:(100 + e.label) ~rts:(rts_of e.rts)
+          (Printf.sprintf "10.0.%d.0/24" e.prefix)
+      in
+      let id = Mpbgp.export m r in
+      issued := id :: !issued;
+      id = Mpbgp_model.export model r
+    | Withdraw k ->
+      let id =
+        match !issued with
+        | [] -> k
+        | l -> List.nth l (k mod List.length l)
+      in
+      Mpbgp.withdraw m id = Mpbgp_model.withdraw model id
+    | Withdraw_site { pe; site } ->
+      let pe = pe mod !pes in
+      Mpbgp.withdraw_site m ~pe ~site
+      = Mpbgp_model.withdraw_site model ~pe ~site
+    | Run -> Mpbgp.run m = Mpbgp_model.run model && views ()
+  in
+  List.for_all step ops && Mpbgp.store_size m > 64
+
+let mpbgp_matches_model =
+  QCheck.Test.make ~name:"dense-id tables match the hashtable model"
+    ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_bgp_op ops))
+       bgp_ops)
+    (fun ops ->
+       mpbgp_agrees Mpbgp.Full_mesh ops
+       && mpbgp_agrees (Mpbgp.Route_reflector 0) ops)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -583,4 +852,5 @@ let () =
          Alcotest.test_case "route reflector" `Quick
            test_mpbgp_rr_delivers_everywhere;
          Alcotest.test_case "run idempotent" `Quick
-           test_mpbgp_run_idempotent ]) ]
+           test_mpbgp_run_idempotent;
+         qt mpbgp_matches_model ]) ]

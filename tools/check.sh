@@ -56,6 +56,8 @@ run soak_b.json "$mvpn" soak --hours 0.002 --chaos 7 --json
 run soak_k4.json "$mvpn" soak --hours 0.002 --chaos 7 --shards 4 --json
 run prov_a.json "$mvpn" provision --customers 300 --churn 50 --json
 run prov_b.json "$mvpn" provision --customers 300 --churn 50 --json
+run prov_rr_a.json "$mvpn" provision --customers 300 --churn 50 --rr --json
+run prov_rr_b.json "$mvpn" provision --customers 300 --churn 50 --rr --json
 
 echo "== mvpn exit codes"
 run slo_chaos.txt "$mvpn" slo --chaos 2 --duration 20 2> /dev/null
