@@ -147,14 +147,21 @@ let run () =
   T.Gauge.set (T.Registry.gauge "e16.overhead.sampler")
     (rate seq_tl /. seq_rate);
   (* Dispatch-cost ledger: the same run again with the engine profiler
-     on. Publishes the sim.profile.* gauges — the pop / handler / flush
-     wall-time split and per-kind dispatch counts check.sh asserts on.
-     Profiling never touches the schedule, so the full fingerprint must
-     hold. *)
+     enabled on the replica and published after it. Publishes the
+     sim.profile.* gauges — the pop / handler / flush wall-time split
+     and per-kind dispatch counts check.sh asserts on. Profiling never
+     touches the schedule, so the full fingerprint must hold. *)
+  let prof = ref None in
+  let enable sc =
+    let p = Mvpn_sim.Engine.profiler (Mvpn_core.Scenario.engine sc) in
+    Mvpn_sim.Profile.enable p;
+    prof := Some p
+  in
   let seq_prof =
-    timed "seq-prof" { (cfg 1) with Runner.profile = true }
+    timed "seq-prof" { (cfg 1) with Runner.prepare_replica = Some enable }
       Runner.run_sequential
   in
+  Option.iter Mvpn_sim.Profile.publish !prof;
   check_fingerprint ~baseline:seq seq_prof;
   report seq_prof;
   T.Gauge.set (T.Registry.gauge "e16.rate.seq_profiled_pps")

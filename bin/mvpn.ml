@@ -36,10 +36,52 @@ module Topology = Mvpn_sim.Topology
 module Sla = Mvpn_qos.Sla
 module Telemetry = Mvpn_telemetry
 
+module Runner = Mvpn_par.Runner
+
 (* --- shared arguments -------------------------------------------------- *)
 
+(* Numeric inputs are validated at parse time so misuse is always
+   cmdliner's usage-error exit (124), never an exception trace, a hang
+   or a silently degenerate run. *)
+let int_conv ~what ~lo ?hi () =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+    | Some v when v < lo || (match hi with Some h -> v > h | None -> false)
+      ->
+      Error
+        (`Msg
+           (match hi with
+            | Some h -> Printf.sprintf "%s must be in [%d, %d]" what lo h
+            | None -> Printf.sprintf "%s must be >= %d" what lo))
+    | Some v -> Ok v
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* A finite float, strictly positive or (with [~zero]) non-negative. *)
+let float_conv ~zero =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && (v > 0.0 || (zero && v = 0.0)) ->
+      Ok v
+    | Some _ ->
+      Error
+        (`Msg
+           (if zero then "must be a finite non-negative number"
+            else "must be a finite positive number"))
+    | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
+  in
+  Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
+
+let pos_float_conv = float_conv ~zero:false
+
+(* Every --shards flag: 1 is the sequential replica, less is an error. *)
+let shards_conv = int_conv ~what:"--shards" ~lo:1 ()
+
+(* A backbone is a ring of POPs: fewer than 3 is no ring. *)
 let pops_arg =
-  Arg.(value & opt int 12 & info ["pops"] ~docv:"N" ~doc:"Number of POPs.")
+  Arg.(value & opt (int_conv ~what:"--pops" ~lo:3 ()) 12
+       & info ["pops"] ~docv:"N" ~doc:"Number of POPs.")
 
 let vpns_arg =
   Arg.(value & opt int 2 & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs.")
@@ -79,6 +121,39 @@ let te_arg =
 let seed_arg =
   Arg.(value & opt int 11 & info ["seed"] ~docv:"SEED"
          ~doc:"Deterministic simulation seed.")
+
+(* The scenario flags [run], [stats], [slo], [par] and [timeline] share,
+   read once into the runner's config. *)
+let scenario_term =
+  let make pops vpns sites_per_vpn policy load duration use_te seed =
+    { Runner.default_config with
+      pops; vpns; sites_per_vpn; policy; load; duration; use_te; seed }
+  in
+  Term.(const make $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
+        $ load_arg $ duration_arg $ te_arg $ seed_arg)
+
+(* --- outcome printers shared by par, timeline and soak ------------------ *)
+
+let jf v = if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
+
+let bprint_classes b (o : Runner.outcome) =
+  Printf.bprintf b "\"classes\":{%s},"
+    (String.concat ","
+       (List.map
+          (fun (l, s, r) ->
+             Printf.sprintf "\"%s\":{\"sent\":%d,\"received\":%d}" l s r)
+          o.classes))
+
+let print_conformance (o : Runner.outcome) ~overall =
+  Printf.printf "\nSLA conformance (merged fate replay):\n";
+  Telemetry.Slo.pp Format.std_formatter o.slo;
+  Format.pp_print_flush Format.std_formatter ();
+  Printf.printf "overall: %s\n" overall
+
+(* One shard runs the sequential replica; more, the partitioned one. *)
+let run_outcome (cfg : Runner.config) =
+  if cfg.shards <= 1 then Runner.run_sequential cfg
+  else Runner.run_parallel cfg
 
 (* --- topo --------------------------------------------------------------- *)
 
@@ -181,11 +256,8 @@ let print_reports sc =
     (Scenario.class_reports sc)
 
 let run_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed =
-    let sc =
-      Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-        (Scenario.Mpls_deployment { policy; use_te })
-    in
+  let run (cfg : Runner.config) =
+    let sc = Runner.build cfg in
     (* Wrap every CE sink with usage accounting. *)
     let acct = Accounting.create () in
     let registry = Scenario.registry sc in
@@ -194,9 +266,9 @@ let run_cmd =
          Network.set_sink (Scenario.network sc) s.Site.ce_node
            (Accounting.sink acct (Traffic.sink registry)))
       (Scenario.sites sc);
-    Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
-      ~duration;
-    Scenario.run sc ~duration:(duration +. 5.0);
+    Scenario.add_mixed_workload ~load:cfg.load sc
+      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration;
+    Scenario.run sc ~duration:(Runner.horizon_of cfg);
     print_reports sc;
     Printf.printf "\nmax core utilization: %.1f%%   core loss: %.2f%%\n"
       (Scenario.max_core_utilization sc *. 100.0)
@@ -204,30 +276,25 @@ let run_cmd =
     Printf.printf "\nUsage-based billing (default tariff):\n";
     List.iter
       (fun vpn -> Accounting.pp_invoice Format.std_formatter acct ~vpn)
-      (List.init vpns (fun v -> v + 1));
+      (List.init cfg.vpns (fun v -> v + 1));
     Format.pp_print_flush Format.std_formatter ()
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run the mixed voice/transactional/bulk workload and report \
              per-class SLAs.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg)
+    Term.(const run $ scenario_term)
 
 (* --- stats -------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed json
-      trace_events event_entries =
+  let run (cfg : Runner.config) json trace_events event_entries =
     Telemetry.Registry.reset ();
     Telemetry.Control.enable ();
-    let sc =
-      Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-        (Scenario.Mpls_deployment { policy; use_te })
-    in
-    Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
-      ~duration;
-    Scenario.run sc ~duration:(duration +. 5.0);
+    let sc = Runner.build cfg in
+    Scenario.add_mixed_workload ~load:cfg.load sc
+      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration;
+    Scenario.run sc ~duration:(Runner.horizon_of cfg);
     Telemetry.Control.disable ();
     if json then
       print_string
@@ -256,21 +323,15 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run the mixed workload with telemetry enabled and dump every \
              counter, gauge, histogram and the hop-trace tail.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ json_arg
-          $ trace_arg $ events_arg)
+    Term.(const run $ scenario_term $ json_arg $ trace_arg $ events_arg)
 
 (* --- slo ---------------------------------------------------------------- *)
 
 let slo_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed json
-      fail_at repair_at chaos_seed =
+  let run (cfg : Runner.config) json fail_at repair_at chaos_seed =
     Telemetry.Registry.reset ();
     Telemetry.Control.enable ();
-    let sc =
-      Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-        (Scenario.Mpls_deployment { policy; use_te })
-    in
+    let sc = Runner.build cfg in
     (* --chaos SEED: arm the full resilience stack (IP fallback, FRR
        bypasses, backoff recovery) plus the seeded fault plan, and
        judge conformance under that storm. *)
@@ -278,13 +339,13 @@ let slo_cmd =
      | Some cseed ->
        ignore
          (Mvpn_resilience.Harness.arm ~frr:true ~fallback:true ~seed:cseed
-            ~duration sc)
+            ~duration:cfg.duration sc)
      | None -> ());
     let slo = Scenario.attach_slo sc in
     let net = Scenario.network sc in
     let engine = Scenario.engine sc in
-    Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
-      ~duration;
+    Scenario.add_mixed_workload ~load:cfg.load sc
+      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration;
     (* Optional mid-run core failure (and repair + reconvergence), to
        watch the conformance engine catch the churn. *)
     let pops_arr = Backbone.pops (Scenario.backbone sc) in
@@ -304,7 +365,7 @@ let slo_cmd =
            | Some m -> ignore (Mpls_vpn.reconverge m)
            | None -> ())
      | _ -> ());
-    Scenario.run sc ~duration:(duration +. 5.0);
+    Scenario.run sc ~duration:(Runner.horizon_of cfg);
     Telemetry.Control.disable ();
     let ok = Telemetry.Slo.in_budget slo in
     let events = Telemetry.Registry.events () in
@@ -366,9 +427,8 @@ let slo_cmd =
              Exit status is the contract: 0 when every objective is in \
              budget, 1 when any objective is out of budget (124 on \
              command-line errors, per cmdliner).")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ json_arg
-          $ fail_arg $ repair_arg $ chaos_arg)
+    Term.(const run $ scenario_term $ json_arg $ fail_arg $ repair_arg
+          $ chaos_arg)
 
 (* --- chaos -------------------------------------------------------------- *)
 
@@ -419,23 +479,14 @@ let chaos_cmd =
 (* --- par ---------------------------------------------------------------- *)
 
 let par_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed shards
-      core_delay seq json =
+  let run (cfg : Runner.config) shards core_delay seq json =
     Telemetry.Registry.reset ();
     Telemetry.Control.enable ();
-    let cfg =
-      { Mvpn_par.Runner.shards; pops; vpns; sites_per_vpn; policy; use_te;
-        load; duration; seed; core_delay;
-        backend = Mvpn_sim.Engine.Calendar;
-        sample_interval = None; profile = false; prepare_replica = None;
-        diurnal = None }
-    in
+    let cfg = { cfg with shards; core_delay } in
     let o =
-      if seq then Mvpn_par.Runner.run_sequential cfg
-      else Mvpn_par.Runner.run_parallel cfg
+      if seq then Runner.run_sequential cfg else Runner.run_parallel cfg
     in
     Telemetry.Control.disable ();
-    let open Mvpn_par.Runner in
     if json then begin
       let b = Buffer.create 8192 in
       Printf.bprintf b
@@ -450,12 +501,7 @@ let par_cmd =
          \"exchanged\":%d,\"leftover\":%d,\"overflow\":%d,"
         o.delivered o.dropped o.events o.scheduled o.exchanged o.leftover
         o.overflow;
-      Printf.bprintf b "\"classes\":{%s},"
-        (String.concat ","
-           (List.map
-              (fun (l, s, r) ->
-                 Printf.sprintf "\"%s\":{\"sent\":%d,\"received\":%d}" l s r)
-              o.classes));
+      bprint_classes b o;
       Printf.bprintf b
         "\"slo\":{\"in_budget\":%b,\"violations\":%d,\"objectives\":%s},"
         (Telemetry.Slo.in_budget o.slo)
@@ -483,22 +529,22 @@ let par_cmd =
       List.iter
         (fun (l, s, r) -> Printf.printf "  %-15s %8d %8d\n" l s r)
         o.classes;
-      Printf.printf "\nSLA conformance (merged fate replay):\n";
-      Telemetry.Slo.pp Format.std_formatter o.slo;
-      Format.pp_print_flush Format.std_formatter ();
-      Printf.printf "overall: %s\n"
-        (if Telemetry.Slo.in_budget o.slo then "all objectives in budget"
-         else "OUT OF BUDGET")
+      print_conformance o
+        ~overall:
+          (if Telemetry.Slo.in_budget o.slo then "all objectives in budget"
+           else "OUT OF BUDGET")
     end
   in
   let shards_arg =
-    Arg.(value & opt int 4 & info ["shards"] ~docv:"K"
+    Arg.(value & opt shards_conv 4
+         & info ["shards"] ~docv:"K"
            ~doc:"Number of parallel shards (domains). Clamped to the \
                  number of POP regions; 1 degenerates to a sequential \
                  run through the same machinery.")
   in
   let core_delay_arg =
-    Arg.(value & opt (some float) None & info ["core-delay"] ~docv:"SEC"
+    Arg.(value & opt (some (float_conv ~zero:true)) None
+         & info ["core-delay"] ~docv:"SEC"
            ~doc:"Override the POP-POP propagation delay (the \
                  synchronization lookahead). 0 forces the epoch-barrier \
                  fallback.")
@@ -522,30 +568,16 @@ let par_cmd =
              per-shard telemetry merges into one snapshot whose totals \
              are identical to the sequential run's, for every shard \
              count.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ shards_arg
-          $ core_delay_arg $ seq_arg $ json_arg)
+    Term.(const run $ scenario_term $ shards_arg $ core_delay_arg $ seq_arg
+          $ json_arg)
 
 (* --- timeline ----------------------------------------------------------- *)
 
 let timeline_cmd =
-  let jf v =
-    if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-  in
-  let run pops vpns sites_per_vpn policy load duration use_te seed shards
-      interval json csv =
+  let run (cfg : Runner.config) shards interval json csv =
     Telemetry.Registry.reset ();
     Telemetry.Control.enable ();
-    let cfg =
-      { Mvpn_par.Runner.default_config with
-        shards = (if shards < 1 then 1 else shards);
-        pops; vpns; sites_per_vpn; policy; use_te; load; duration; seed;
-        sample_interval = Some interval }
-    in
-    let o =
-      if shards <= 1 then Mvpn_par.Runner.run_sequential cfg
-      else Mvpn_par.Runner.run_parallel cfg
-    in
+    let o = run_outcome { cfg with shards; sample_interval = Some interval } in
     Telemetry.Control.disable ();
     (* Sim-scope series only. Host-scope rings (GC churn) are real but
        machine-dependent, so they stay out of the export — which is what
@@ -601,8 +633,8 @@ let timeline_cmd =
       let b = Buffer.create 65536 in
       Printf.bprintf b "{\"schema\":%d,\"interval\":%s,\"horizon\":%s,\
                         \"seed\":%d,\"series\":{"
-        Telemetry.Registry.schema_version (jf interval) (jf o.Mvpn_par.Runner.horizon)
-        seed;
+        Telemetry.Registry.schema_version (jf interval) (jf o.horizon)
+        cfg.seed;
       List.iteri
         (fun i (name, level, samples) ->
            if i > 0 then Buffer.add_char b ',';
@@ -630,8 +662,7 @@ let timeline_cmd =
       Printf.printf
         "timeline: %d series, interval %.3gs, horizon %.3gs \
          (delivered %d, dropped %d)\n\n"
-        (List.length all) interval o.Mvpn_par.Runner.horizon
-        o.Mvpn_par.Runner.delivered o.Mvpn_par.Runner.dropped;
+        (List.length all) interval o.horizon o.delivered o.dropped;
       Printf.printf "  %-26s %6s %5s %12s %12s %12s\n"
         "series" "n" "lvl" "min" "mean" "max";
       List.iter
@@ -656,12 +687,12 @@ let timeline_cmd =
     end
   in
   let shards_arg =
-    Arg.(value & opt int 1 & info ["shards"] ~docv:"K"
+    Arg.(value & opt shards_conv 1 & info ["shards"] ~docv:"K"
            ~doc:"Shard (domain) count; 1 runs the sequential replica. The \
                  exported series are byte-identical at every K.")
   in
   let interval_arg =
-    Arg.(value & opt float Sampler.default_interval
+    Arg.(value & opt pos_float_conv Sampler.default_interval
          & info ["interval"] ~docv:"SEC"
            ~doc:"Sampling interval in simulated seconds.")
   in
@@ -681,34 +712,19 @@ let timeline_cmd =
              per-band queue depth and drops, per-(vpn, band) SLO burn \
              material — as a table, JSON or CSV. Series ride fixed-size \
              decimating rings, so memory stays bounded at any horizon.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ shards_arg
-          $ interval_arg $ json_arg $ csv_arg)
+    Term.(const run $ scenario_term $ shards_arg $ interval_arg $ json_arg
+          $ csv_arg)
 
 (* --- soak --------------------------------------------------------------- *)
 
-(* Strictly positive finite float, rejected at parse time so misuse
-   surfaces as cmdliner's usage-error exit (124), never as a crash or a
-   silently degenerate run. *)
-let pos_float_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg "must be a finite positive number")
-    | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
-  in
-  Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
-
 let soak_cmd =
-  let jf v = if Float.is_finite v then Printf.sprintf "%.9g" v else "0" in
   let run pops vpns sites_per_vpn load seed shards hours chaos
       audit_interval snapshot_interval segments fail_fast json =
     Telemetry.Registry.reset ();
     let duration = hours *. 3600.0 in
     let cfg =
-      { Mvpn_par.Runner.default_config with
-        shards = (if shards < 1 then 1 else shards);
-        pops; vpns; sites_per_vpn; load; duration; seed;
+      { Runner.default_config with
+        shards; pops; vpns; sites_per_vpn; load; duration; seed;
         sample_interval = Some snapshot_interval;
         diurnal = Some segments }
     in
@@ -722,11 +738,14 @@ let soak_cmd =
     in
     Telemetry.Control.enable ();
     let o =
-      if shards <= 1 then Mvpn_par.Runner.run_sequential cfg
-      else Mvpn_par.Runner.run_parallel cfg
+      try run_outcome cfg
+      with Mvpn_resilience.Audit.Violation (invariant, detail) ->
+        (* --fail-fast: the first violation ends the soak, exit 1. *)
+        Printf.eprintf "soak: invariant %s violated: %s\n" invariant detail;
+        exit 1
     in
     Telemetry.Control.disable ();
-    let replicas = max 1 o.Mvpn_par.Runner.shards in
+    let replicas = max 1 o.shards in
     let audit_ticks =
       Telemetry.Registry.counter_value "audit.ticks" / replicas
     in
@@ -746,7 +765,6 @@ let soak_cmd =
         0
         (Telemetry.Registry.names ())
     in
-    let open Mvpn_par.Runner in
     if json then begin
       (* Only shard-invariant material: equal seeds must give these
          exact bytes at every --shards K. *)
@@ -763,13 +781,7 @@ let soak_cmd =
        | None -> Buffer.add_string b "\"chaos\":null,");
       Printf.bprintf b "\"delivered\":%d,\"dropped\":%d," o.delivered
         o.dropped;
-      Printf.bprintf b "\"classes\":{%s},"
-        (String.concat ","
-           (List.map
-              (fun (l, s, r) ->
-                 Printf.sprintf "\"%s\":{\"sent\":%d,\"received\":%d}" l s
-                   r)
-              o.classes));
+      bprint_classes b o;
       Printf.bprintf b
         "\"slo\":{\"in_budget\":%b,\"violations\":%d},"
         (Telemetry.Slo.in_budget o.slo)
@@ -804,12 +816,10 @@ let soak_cmd =
         (Telemetry.Registry.names ());
       Printf.printf "  snapshots         %d (interval %.3gs)\n" snapshots
         snapshot_interval;
-      Printf.printf "\nSLA conformance (merged fate replay):\n";
-      Telemetry.Slo.pp Format.std_formatter o.slo;
-      Format.pp_print_flush Format.std_formatter ();
-      Printf.printf "overall: %s\n"
-        (if audit_violations = 0 then "all invariants held"
-         else "INVARIANT VIOLATIONS")
+      print_conformance o
+        ~overall:
+          (if audit_violations = 0 then "all invariants held"
+           else "INVARIANT VIOLATIONS")
     end;
     if audit_violations <> 0 then exit 1
   in
@@ -824,7 +834,7 @@ let soak_cmd =
                  outages, session drops) for the whole soak.")
   in
   let shards_arg =
-    Arg.(value & opt int 1 & info ["shards"] ~docv:"K"
+    Arg.(value & opt shards_conv 1 & info ["shards"] ~docv:"K"
            ~doc:"Shard (domain) count; 1 runs the sequential replica. \
                  The JSON envelope is byte-identical at every K.")
   in
@@ -842,7 +852,8 @@ let soak_cmd =
                  seconds (finite, positive).")
   in
   let segments_arg =
-    Arg.(value & opt int 8 & info ["segments"] ~docv:"N"
+    Arg.(value & opt (int_conv ~what:"--segments" ~lo:1 ()) 8
+         & info ["segments"] ~docv:"N"
            ~doc:"Diurnal load-envelope segments over the soak.")
   in
   let fail_fast_arg =
@@ -919,23 +930,6 @@ let fail_cmd =
 
 let provision_cmd =
   let module P = Mvpn_provision in
-  (* All numeric inputs are validated at parse time so misuse is always
-     cmdliner's usage-error exit (124), never an exception trace. *)
-  let int_conv ~what ~lo ?hi () =
-    let parse s =
-      match int_of_string_opt s with
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-      | Some v when v < lo || (match hi with Some h -> v > h | None -> false)
-        ->
-        Error
-          (`Msg
-             (match hi with
-              | Some h -> Printf.sprintf "%s must be in [%d, %d]" what lo h
-              | None -> Printf.sprintf "%s must be >= %d" what lo))
-      | Some v -> Ok v
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-  in
   let customers_arg =
     Arg.(value
          & opt (int_conv ~what:"--customers" ~lo:1 ~hi:0x3fff ()) 1000

@@ -231,15 +231,9 @@ let region_hint t =
     t.sites;
   fun v -> if v >= 0 && v < n then hint.(v) else None
 
-(* Declare the stock per-band objectives for every VPN with sites in
-   this scenario (plus vpn 0, where un-tenanted traffic books) and
-   attach the engine and a span sampler to the network. *)
-let attach_slo ?slo ?(sample_every = 64) t =
-  let slo =
-    match slo with
-    | Some s -> s
-    | None -> Mvpn_telemetry.Slo.create ()
-  in
+(* The stock per-band objectives for every VPN with sites in this
+   scenario, plus vpn 0, where un-tenanted traffic books. *)
+let declare_objectives t slo =
   let vpns =
     Array.fold_left
       (fun acc (s : Site.t) ->
@@ -253,7 +247,17 @@ let attach_slo ?slo ?(sample_every = 64) t =
          Mvpn_telemetry.Slo.declare slo ~vpn ~band
            (Qos_mapping.default_objective band)
        done)
-    vpns;
+    vpns
+
+(* Declare the objectives and attach the engine and a span sampler to
+   the network. *)
+let attach_slo ?slo ?(sample_every = 64) t =
+  let slo =
+    match slo with
+    | Some s -> s
+    | None -> Mvpn_telemetry.Slo.create ()
+  in
+  declare_objectives t slo;
   Network.set_slo t.net (Some slo);
   Network.set_span_sampler t.net
     (Some (Mvpn_telemetry.Span.sampler ~every:sample_every ()));

@@ -97,14 +97,18 @@ val region_hint : t -> int -> int option
     is never split across shards and every cut is a core link. [None]
     for nodes outside any region. *)
 
+val declare_objectives : t -> Mvpn_telemetry.Slo.t -> unit
+(** Declare the stock {!Qos_mapping.default_objective} for every band of
+    every VPN with sites here (and vpn 0, where un-tenanted traffic
+    books). *)
+
 val attach_slo :
   ?slo:Mvpn_telemetry.Slo.t -> ?sample_every:int -> t ->
   Mvpn_telemetry.Slo.t
-(** Attach SLA conformance tracking to the scenario's network: declares
-    the stock {!Qos_mapping.default_objective} for every band of every
-    VPN with sites here (and vpn 0, where un-tenanted traffic books) on
-    [slo] (default: a fresh engine), plus a 1-in-[sample_every] span
-    sampler. Returns the engine for reporting. *)
+(** Attach SLA conformance tracking to the scenario's network:
+    {!declare_objectives} on [slo] (default: a fresh engine), plus a
+    1-in-[sample_every] span sampler. Returns the engine for
+    reporting. *)
 
 val run : t -> duration:float -> unit
 (** Drive the engine to [duration] seconds, then close out any attached

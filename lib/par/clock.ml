@@ -10,7 +10,10 @@ type t = {
                            read all, barrier *)
   mutable arrived : int;
   mutable phase : bool;
+  mutable aborted : bool;  (* guarded by [mutex] *)
 }
+
+exception Aborted
 
 let create ~shards ~horizon ~inbound =
   if shards < 1 then invalid_arg "Clock.create: shards < 1";
@@ -25,7 +28,7 @@ let create ~shards ~horizon ~inbound =
   { shards; horizon; inbound; la;
     mutex = Mutex.create (); changed = Condition.create ();
     pubs = Array.make shards 0.0; nexts = Array.make shards infinity;
-    arrived = 0; phase = false }
+    arrived = 0; phase = false; aborted = false }
 
 let horizon t = t.horizon
 
@@ -36,9 +39,18 @@ let bound_locked t shard =
     (fun acc (j, d) -> Float.min acc (t.pubs.(j) +. d))
     t.horizon t.inbound.(shard)
 
+(* Every blocking entry point leaves through here once a shard has
+   failed, so no peer waits on a shard that will never publish. *)
+let check_locked t =
+  if t.aborted then begin
+    Mutex.unlock t.mutex;
+    raise Aborted
+  end
+
 let next_bound t ~shard ~completed =
   Mutex.lock t.mutex;
   let rec wait () =
+    check_locked t;
     let b = bound_locked t shard in
     if b > completed || b >= t.horizon then b
     else begin
@@ -60,6 +72,7 @@ let publish t ~shard v =
 
 let barrier t =
   Mutex.lock t.mutex;
+  check_locked t;
   let sense = t.phase in
   t.arrived <- t.arrived + 1;
   if t.arrived = t.shards then begin
@@ -69,7 +82,8 @@ let barrier t =
   end
   else
     while t.phase = sense do
-      Condition.wait t.changed t.mutex
+      Condition.wait t.changed t.mutex;
+      check_locked t
     done;
   Mutex.unlock t.mutex
 
@@ -81,3 +95,9 @@ let min_next t ~shard v =
      round until everyone has read this one. *)
   barrier t;
   m
+
+let abort t =
+  Mutex.lock t.mutex;
+  t.aborted <- true;
+  Condition.broadcast t.changed;
+  Mutex.unlock t.mutex

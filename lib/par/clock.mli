@@ -22,9 +22,19 @@
     minimum; repeat until the minimum passes the horizon.
 
     All state is guarded by one mutex + condition; publications
-    broadcast so waiting shards re-evaluate their bounds. *)
+    broadcast so waiting shards re-evaluate their bounds.
+
+    {b Abort.} A shard that fails calls {!abort}: every waiter wakes,
+    and from then on {!next_bound} and {!barrier} raise {!Aborted}
+    instead of waiting for a shard that will never publish again.
+    Carrying the failure itself back to the caller is the runner's
+    job. *)
 
 type t
+
+exception Aborted
+(** Raised by {!next_bound} and {!barrier} (hence {!min_next}) once
+    some shard has called {!abort}. *)
 
 val create : shards:int -> horizon:float -> inbound:(int * float) list array -> t
 (** [inbound.(i)] lists [(source shard j, min propagation delay j→i)]
@@ -54,3 +64,6 @@ val min_next : t -> shard:int -> float -> float
     (or [infinity]) and return the minimum over all shards. Contains
     two internal barriers; every shard must call it the same number of
     times. *)
+
+val abort : t -> unit
+(** Mark the run failed and wake every waiter (idempotent). *)

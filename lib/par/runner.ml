@@ -25,7 +25,6 @@ type config = {
   core_delay : float option;
   backend : Engine.backend;
   sample_interval : float option;
-  profile : bool;
   prepare_replica : (Scenario.t -> unit) option;
   diurnal : int option;
 }
@@ -35,7 +34,7 @@ let default_config =
     policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
     use_te = false; load = 0.9; duration = 30.0; seed = 11;
     core_delay = None; backend = Engine.Calendar;
-    sample_interval = None; profile = false; prepare_replica = None;
+    sample_interval = None; prepare_replica = None;
     diurnal = None }
 
 type outcome = {
@@ -58,94 +57,60 @@ type outcome = {
 
 let horizon_of cfg = cfg.duration +. 5.0
 
-let build_replica cfg () =
+let build cfg =
   Scenario.build ~backend:cfg.backend ~pops:cfg.pops ~vpns:cfg.vpns
     ~sites_per_vpn:cfg.sites_per_vpn ~seed:cfg.seed
     ?core_delay:cfg.core_delay
     (Scenario.Mpls_deployment { policy = cfg.policy; use_te = cfg.use_te })
 
-let arm_workload cfg sc ~only =
-  match cfg.diurnal with
-  | None ->
-    Scenario.add_mixed_workload ~load:cfg.load ~only sc
-      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration
-  | Some segments ->
-    Scenario.add_diurnal_workload ~peak_load:cfg.load ~segments ~only sc
-      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration
-
-(* Replay a time-sorted fate stream into a fresh conformance engine
-   with the stock per-(vpn, band) objectives — the same declarations
-   [Scenario.attach_slo] makes. The stream arrives as an iteration
-   function so the two producers keep their natural storage: the
-   parallel runner a merged list of [Shard.fate] records, the
-   sequential runner a struct-of-arrays log (below) that never built
-   records in the first place. A private event log keeps violation
-   events out of the global forensic ring (the registry JSON was
-   captured already; see below). *)
-let replay_slo ~scenario ~horizon iter_fates =
-  let log = Event_log.create () in
-  let slo = Slo.create ~events:log () in
-  let vpns =
-    Array.fold_left
-      (fun acc (s : Site.t) ->
-         if List.mem s.Site.vpn acc then acc else s.Site.vpn :: acc)
-      [ 0 ] (Scenario.sites scenario)
-    |> List.sort_uniq Int.compare
+(* The replica recipe, the one place it is written: every replica, the
+   sequential one and each shard's, is armed here. The order is the
+   schedule-call order, and events landing at equal times keep their
+   FIFO rank only if it is the same on every replica: the timeline
+   sampler's ticks, then whatever the caller arms (chaos storms, the
+   invariant auditor), then the fate log (tapped by the sampler), then
+   the workload's sources, those [only] keeps. The workload still makes
+   every RNG draw for filtered pairs, so each armed pair's substream is
+   the sequential run's. *)
+let arm cfg sc ~only =
+  let sampler =
+    Option.map
+      (fun dt -> Sampler.start ~interval:dt ~until:(horizon_of cfg) sc)
+      cfg.sample_interval
   in
-  List.iter
-    (fun vpn ->
-       for band = 0 to Qos_mapping.band_count - 1 do
-         Slo.declare slo ~vpn ~band (Qos_mapping.default_objective band)
-       done)
-    vpns;
+  Option.iter (fun f -> f sc) cfg.prepare_replica;
+  let fates = Fate_log.create () in
+  Network.set_fate_hook (Scenario.network sc)
+    (Some
+       (match sampler with
+        | None -> Fate_log.add fates
+        | Some sm ->
+          fun ~time ~vpn ~band ~dropped ~latency ->
+            Sampler.observe_fate sm ~time ~vpn ~band ~dropped ~latency;
+            Fate_log.add fates ~time ~vpn ~band ~dropped ~latency));
+  let pairs = Scenario.default_pairs sc in
+  (match cfg.diurnal with
+   | None ->
+     Scenario.add_mixed_workload ~load:cfg.load ~only sc ~pairs
+       ~duration:cfg.duration
+   | Some segments ->
+     Scenario.add_diurnal_workload ~peak_load:cfg.load ~segments ~only sc
+       ~pairs ~duration:cfg.duration);
+  fates
+
+(* Replay the fate logs, merged in time order, into a fresh conformance
+   engine with the stock objectives [Scenario.attach_slo] declares. A
+   private event log keeps violation events out of the global forensic
+   ring (the registry JSON was captured already; see below). *)
+let replay_slo ~scenario ~horizon logs =
+  let slo = Slo.create ~events:(Event_log.create ()) () in
+  Scenario.declare_objectives scenario slo;
   Control.with_enabled (fun () ->
-      iter_fates (fun ~time ~vpn ~band ~dropped ~latency ->
+      Fate_log.merge logs (fun ~time ~vpn ~band ~dropped ~latency ->
           if dropped then Slo.observe_drop slo ~vpn ~band ~time
           else Slo.observe_delivery slo ~vpn ~band ~time ~latency);
       Slo.advance slo ~time:horizon);
   slo
-
-(* Struct-of-arrays fate log for the sequential runner: the fate hook
-   fires in event-time order, so no sort is needed before replay, and
-   recording a fate is two unboxed float stores plus one packed int —
-   no record, no cons. Meta packing: bit 0 dropped, bits 1-21 band,
-   bits 22+ vpn. *)
-type fatelog = {
-  mutable fl_times : floatarray;
-  mutable fl_lats : floatarray;  (* latency; 0.0 for drops *)
-  mutable fl_meta : int array;
-  mutable fl_n : int;
-}
-
-let fatelog_create () =
-  { fl_times = Float.Array.create 1024; fl_lats = Float.Array.create 1024;
-    fl_meta = Array.make 1024 0; fl_n = 0 }
-
-let fatelog_add fl ~time ~vpn ~band ~dropped ~latency =
-  let n = fl.fl_n in
-  if n = Array.length fl.fl_meta then begin
-    let cap = 2 * n in
-    let t = Float.Array.create cap and l = Float.Array.create cap in
-    Float.Array.blit fl.fl_times 0 t 0 n;
-    Float.Array.blit fl.fl_lats 0 l 0 n;
-    let m = Array.make cap 0 in
-    Array.blit fl.fl_meta 0 m 0 n;
-    fl.fl_times <- t;
-    fl.fl_lats <- l;
-    fl.fl_meta <- m
-  end;
-  Float.Array.set fl.fl_times n time;
-  Float.Array.set fl.fl_lats n latency;
-  fl.fl_meta.(n) <- (vpn lsl 22) lor (band lsl 1) lor Bool.to_int dropped;
-  fl.fl_n <- n + 1
-
-let fatelog_iter fl f =
-  for i = 0 to fl.fl_n - 1 do
-    let meta = fl.fl_meta.(i) in
-    f ~time:(Float.Array.get fl.fl_times i) ~vpn:(meta lsr 22)
-      ~band:((meta lsr 1) land 0x1FFFFF) ~dropped:(meta land 1 = 1)
-      ~latency:(Float.Array.get fl.fl_lats i)
-  done
 
 let class_sums per_replica_reports =
   let tbl = Hashtbl.create 8 in
@@ -203,21 +168,23 @@ let drive sh clock =
      events sent (all of it arrives strictly past the horizon). *)
   Shard.ingest sh ~bound:neg_infinity ~inclusive:false
 
+(* Long soaks recycle packet storage. Flag set before any shard domain
+   spawns (each recycles through its own domain-local pool); delivered
+   and dropped packets are not retained by any runner hook. *)
+let with_pooling f =
+  let prev = Packet.pooling () in
+  Packet.set_pooling true;
+  Fun.protect ~finally:(fun () -> Packet.set_pooling prev) f
+
 let run_parallel (cfg : config) =
   if cfg.shards < 1 then invalid_arg "Runner.run_parallel: shards < 1";
-  (* Long soaks recycle packet storage. Flag set before the shard
-     domains spawn (each recycles through its own domain-local pool);
-     delivered/dropped packets are not retained by any runner hook. *)
-  let prev_pooling = Packet.pooling () in
-  Packet.set_pooling true;
-  Fun.protect ~finally:(fun () -> Packet.set_pooling prev_pooling)
-  @@ fun () ->
+  with_pooling @@ fun () ->
   let horizon = horizon_of cfg in
   (* Throwaway build, telemetry off, just to cut the topology — every
      replica builds the same one, so the partition is exact. *)
   let part =
     Control.with_disabled (fun () ->
-        let sc = build_replica cfg () in
+        let sc = build cfg in
         Partition.compute
           ~hint:(Scenario.region_hint sc)
           (Network.topology (Scenario.network sc))
@@ -239,34 +206,48 @@ let run_parallel (cfg : config) =
           | None -> (s, l.Topology.delay) :: inbound.(d)))
     part.Partition.cut;
   let clock = Clock.create ~shards:k ~horizon ~inbound in
+  let owner = part.Partition.owner in
+  let shard i () =
+    let sc = build cfg in
+    (* Every replica's build bumps this domain's metric cells; only
+       shard 0's survive, so deploy-time counters appear exactly once
+       in the merge. The reset comes before arming, so what [arm]
+       schedules is counted on every replica, as the sequential run
+       counts its own. [Registry.reset] only zeroes the calling
+       domain's cells. *)
+    if i > 0 then Registry.reset ();
+    let fates =
+      arm cfg sc ~only:(fun (a : Site.t) _ -> owner.(a.Site.ce_node) = i)
+    in
+    let sh = Shard.create ~id:i ~part ~exchange:ex sc in
+    drive sh clock;
+    (Shard.collect sh, fates)
+  in
+  (* A shard that raises aborts the clock, so its peers leave their
+     waits instead of blocking forever. Once every domain has joined,
+     the lowest-index shard's own failure (not a peer's [Aborted]) is
+     re-raised, so the error is the same on every run. *)
   let domains =
     Array.init k (fun i ->
         Domain.spawn (fun () ->
-            let sh =
-              Shard.create ~id:i ~part ~exchange:ex
-                ~build:(build_replica cfg)
-                ~prepare:(fun sc ->
-                    let tap =
-                      Option.map
-                        (fun dt ->
-                           Sampler.observe_fate
-                             (Sampler.start ~interval:dt ~until:horizon sc))
-                        cfg.sample_interval
-                    in
-                    (* Same schedule-call order as run_sequential:
-                       sampler ticks, then whatever the caller arms
-                       (chaos storms, the invariant auditor) — FIFO
-                       tie-break at equal times depends on it. *)
-                    (match cfg.prepare_replica with
-                     | Some f -> f sc
-                     | None -> ());
-                    tap)
-                ~arm:(arm_workload cfg) ()
-            in
-            drive sh clock;
-            Shard.collect sh))
+            try Ok (shard i ())
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              Clock.abort clock;
+              Error (e, bt)))
   in
-  let cols = Array.map Domain.join domains in
+  let joined = Array.map Domain.join domains in
+  let own_failure = function
+    | Error (Clock.Aborted, _) | Ok _ -> None
+    | Error f -> Some f
+  in
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Array.find_map own_failure joined);
+  let results =
+    Array.map (function Ok r -> r | Error _ -> raise Clock.Aborted) joined
+  in
+  let cols = Array.map fst results and logs = Array.map snd results in
   (* Merge every shard's metric cells into this domain, in shard order
      (associative, so the order only pins float rounding). *)
   Array.iter (fun c -> Registry.absorb c.Shard.r_snapshot) cols;
@@ -293,27 +274,7 @@ let run_parallel (cfg : config) =
       (fun acc c -> acc + Registry.snapshot_counter c.Shard.r_snapshot name)
       0 cols
   in
-  let fates =
-    Array.to_list cols
-    |> List.concat_map (fun c ->
-           List.map (fun f -> (c.Shard.r_id, f)) c.Shard.r_fates)
-    |> List.sort (fun (sa, (fa : Shard.fate)) (sb, fb) ->
-           match Float.compare fa.Shard.f_time fb.Shard.f_time with
-           | 0 ->
-             (match Int.compare sa sb with
-              | 0 -> Int.compare fa.Shard.f_seq fb.Shard.f_seq
-              | c -> c)
-           | c -> c)
-    |> List.map snd
-  in
-  let slo =
-    replay_slo ~scenario:cols.(0).Shard.r_scenario ~horizon (fun f ->
-        List.iter
-          (fun (x : Shard.fate) ->
-             f ~time:x.Shard.f_time ~vpn:x.Shard.f_vpn ~band:x.Shard.f_band
-               ~dropped:x.Shard.f_dropped ~latency:x.Shard.f_latency)
-          fates)
-  in
+  let slo = replay_slo ~scenario:cols.(0).Shard.r_scenario ~horizon logs in
   { shards = k;
     sizes = Partition.sizes part;
     cut_links = List.length part.Partition.cut;
@@ -333,48 +294,22 @@ let run_parallel (cfg : config) =
     slo; registry_json; horizon }
 
 let run_sequential (cfg : config) =
-  let prev_pooling = Packet.pooling () in
-  Packet.set_pooling true;
-  Fun.protect ~finally:(fun () -> Packet.set_pooling prev_pooling)
-  @@ fun () ->
+  with_pooling @@ fun () ->
   let horizon = horizon_of cfg in
   let base = Registry.snapshot () in
-  let sc = build_replica cfg () in
-  let net = Scenario.network sc in
-  let sampler =
-    Option.map
-      (fun dt -> Sampler.start ~interval:dt ~until:horizon sc)
-      cfg.sample_interval
-  in
-  (* After the sampler, before the workload — the same schedule-call
-     order the shard replicas use, so events landing at equal times
-     keep the same FIFO rank at every shard count. *)
-  (match cfg.prepare_replica with Some f -> f sc | None -> ());
-  if cfg.profile then
-    Mvpn_sim.Profile.enable (Engine.profiler (Scenario.engine sc));
-  let fates = fatelog_create () in
-  Network.set_fate_hook net
-    (Some
-       (match sampler with
-        | None -> fatelog_add fates
-        | Some sm ->
-          fun ~time ~vpn ~band ~dropped ~latency ->
-            Sampler.observe_fate sm ~time ~vpn ~band ~dropped ~latency;
-            fatelog_add fates ~time ~vpn ~band ~dropped ~latency));
-  arm_workload cfg sc ~only:(fun _ _ -> true);
+  let sc = build cfg in
+  let fates = arm cfg sc ~only:(fun _ _ -> true) in
   Engine.run ~until:horizon (Scenario.engine sc);
-  if cfg.profile then
-    Mvpn_sim.Profile.publish (Engine.profiler (Scenario.engine sc));
   let finis = Registry.snapshot () in
   let diff name =
     Registry.snapshot_counter finis name
     - Registry.snapshot_counter base name
   in
   let registry_json = Registry.to_json ~trace_events:0 () in
-  let slo = replay_slo ~scenario:sc ~horizon (fatelog_iter fates) in
+  let slo = replay_slo ~scenario:sc ~horizon [| fates |] in
   { shards = 1;
     sizes =
-      [| Topology.node_count (Network.topology net) |];
+      [| Topology.node_count (Network.topology (Scenario.network sc)) |];
     cut_links = 0;
     lookahead = true;
     delivered = diff "net.delivered";

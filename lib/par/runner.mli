@@ -6,8 +6,21 @@
     exchanging cut-link packets through {!Exchange}. After the domains
     join, per-shard telemetry snapshots merge associatively into the
     calling domain's registry cells, post-horizon cross-shard packets
-    are re-scheduled for bookkeeping parity, and the time-sorted merge
-    of every shard's packet fates replays into one SLO engine.
+    are re-scheduled for bookkeeping parity, and every shard's
+    {!Fate_log}, K-way merged by (time, shard), replays into one SLO
+    engine.
+
+    One recipe arms every replica, sequential or shard: {!build}, then
+    (on shards other than 0) a reset of the domain's metric cells, then
+    the timeline sampler, [prepare_replica], the fate log with the
+    sampler's tap, and the workload sources the replica owns — in that
+    schedule-call order, written once, so events landing at equal times
+    keep the same FIFO rank at every shard count.
+
+    A shard that raises aborts the run: its peers leave their
+    synchronization waits ({!Clock.abort}), and once every domain has
+    joined {!run_parallel} re-raises the lowest-index shard's own
+    failure (not a peer's {!Clock.Aborted}), the same on every run.
 
     The headline invariant: for a given config, {!run_parallel} at any
     shard count and {!run_sequential} produce identical delivered /
@@ -40,17 +53,13 @@ type config = {
           sim-second interval — on the sequential replica, and on every
           shard replica of a parallel run, whose sim-scope series merge
           to the sequential series byte-for-byte (default [None]) *)
-  profile : bool;
-      (** enable the engine's dispatch-cost ledger and publish
-          [sim.profile.*] gauges after the run; {!run_sequential} only
-          — shard wall times are not meaningfully mergeable (default
-          [false]) *)
   prepare_replica : (Mvpn_core.Scenario.t -> unit) option;
       (** run on every replica — the sequential scenario, and each
           shard's — after the timeline sampler is armed and before the
           workload: the hook {!Mvpn_resilience.Soak.arm} fills to arm
           chaos storms and the invariant auditor identically
-          everywhere. Must schedule
+          everywhere, and where a caller enables the engine's
+          dispatch-cost ledger ({!Mvpn_sim.Profile}). Must schedule
           the same events in the same order on every replica (e.g.
           {!Mvpn_resilience.Chaos.random_topology_plan}-based storms,
           never uid-dependent faults), or determinism across shard
@@ -64,6 +73,13 @@ type config = {
 
 val horizon_of : config -> float
 (** Where every replica engine stops: [duration] plus 5 s of drain. *)
+
+val build : config -> Mvpn_core.Scenario.t
+(** The config's scenario: an MPLS VPN deployment of [pops] POPs and
+    [vpns] × [sites_per_vpn] sites, seeded, on the config's engine
+    backend and core delay. Every replica of both runners is this
+    build, and so is any throwaway build that must match them (the
+    partition's, {!Mvpn_resilience.Soak.storm}'s). *)
 
 val default_config : config
 (** The [mvpn] demo defaults: 4 shards, 12 POPs, 2 VPNs × 4 sites,
@@ -92,7 +108,9 @@ type outcome = {
 }
 
 val run_parallel : config -> outcome
-(** @raise Invalid_argument if [config.shards < 1]. *)
+(** @raise Invalid_argument if [config.shards < 1]; re-raises the
+    lowest-index failing shard's exception, after every shard has
+    stopped. *)
 
 val run_sequential : config -> outcome
 (** Single-domain baseline on the identical build/workload path

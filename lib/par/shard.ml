@@ -3,25 +3,12 @@ module Topology = Mvpn_sim.Topology
 module Registry = Mvpn_telemetry.Registry
 module Scenario = Mvpn_core.Scenario
 module Network = Mvpn_core.Network
-module Site = Mvpn_core.Site
 module Port = Mvpn_qos.Port
 
-type fate = {
-  f_time : float;
-  f_vpn : int;
-  f_band : int;
-  f_dropped : bool;
-  f_latency : float;
-  f_seq : int;
-}
-
 type result = {
-  r_id : int;
   r_snapshot : Registry.snapshot;
-  r_fates : fate list;
   r_leftover : Exchange.msg list;
   r_sent : int;
-  r_ingested : int;
   r_scenario : Scenario.t;
 }
 
@@ -32,10 +19,7 @@ type t = {
   eng : Engine.t;
   exchange : Exchange.t;
   mutable pending : Exchange.msg list;  (* sorted by [msg_order] *)
-  mutable fates : fate list;  (* newest first *)
-  mutable fseq : int;
   mutable sent : int;
-  mutable ingested : int;
 }
 
 let msg_order (a : Exchange.msg) (b : Exchange.msg) =
@@ -49,35 +33,10 @@ let msg_order (a : Exchange.msg) (b : Exchange.msg) =
      | c -> c)
   | c -> c
 
-let create ~id ~part ~exchange ~build ?prepare ~arm () =
-  let sc = build () in
-  (* Every replica's build bumps this domain's metric cells; only the
-     canonical replica keeps them, so deploy-time counters appear
-     exactly once in the merged snapshot. [Registry.reset] only zeroes
-     the calling domain's cells — concurrent builds are unaffected. *)
-  if id > 0 then Registry.reset ();
-  (* After the reset, so whatever [prepare] arms (e.g. the timeline
-     sampler's tick events) is accounted in every shard's kept cells,
-     exactly as the sequential runner accounts its own. *)
-  let tap = match prepare with None -> None | Some p -> p sc in
+let create ~id ~part ~exchange sc =
   let net = Scenario.network sc in
   let eng = Scenario.engine sc in
-  let t =
-    { sid = id; sc; net; eng; exchange; pending = []; fates = []; fseq = 0;
-      sent = 0; ingested = 0 }
-  in
-  Network.set_fate_hook net
-    (Some
-       (fun ~time ~vpn ~band ~dropped ~latency ->
-          (match tap with
-           | Some f -> f ~time ~vpn ~band ~dropped ~latency
-           | None -> ());
-          let f =
-            { f_time = time; f_vpn = vpn; f_band = band;
-              f_dropped = dropped; f_latency = latency; f_seq = t.fseq }
-          in
-          t.fseq <- t.fseq + 1;
-          t.fates <- f :: t.fates));
+  let t = { sid = id; sc; net; eng; exchange; pending = []; sent = 0 } in
   (* Outbound cut ports hand finished transmissions to the exchange
      instead of scheduling the propagation event locally. *)
   let owner = part.Partition.owner in
@@ -96,15 +55,9 @@ let create ~id ~part ~exchange ~build ?prepare ~arm () =
                    ~sent:(Engine.now eng) ~src_node ~dst_node packet))
        end)
     part.Partition.cut;
-  (* Arm sources only for pairs whose sending CE this shard owns. The
-     workload still performs every RNG draw for filtered pairs, so each
-     armed pair's substream is byte-identical to the sequential run. *)
-  arm sc ~only:(fun (a : Site.t) _ -> owner.(a.Site.ce_node) = id);
   t
 
 let id t = t.sid
-
-let engine t = t.eng
 
 let ingest t ~bound ~inclusive =
   let fresh = Exchange.drain t.exchange ~dst:t.sid in
@@ -116,7 +69,6 @@ let ingest t ~bound ~inclusive =
   in
   let rec take = function
     | m :: rest when ready m ->
-      t.ingested <- t.ingested + 1;
       let arrival = m.Exchange.arrival in
       let dst = m.Exchange.dst_node and src = m.Exchange.src_node in
       let packet = m.Exchange.packet in
@@ -135,10 +87,7 @@ let run_to t ~until = Engine.run ~until t.eng
 let peek t = Engine.peek_time t.eng
 
 let collect t =
-  { r_id = t.sid;
-    r_snapshot = Registry.snapshot ();
-    r_fates = List.rev t.fates;
+  { r_snapshot = Registry.snapshot ();
     r_leftover = t.pending;
     r_sent = t.sent;
-    r_ingested = t.ingested;
     r_scenario = t.sc }

@@ -12,27 +12,19 @@
 
     All functions must be called from the shard's own domain (telemetry
     cells are domain-local); {!collect}'s result is read by the runner
-    after joining the domain. *)
+    after joining the domain.
 
-type fate = {
-  f_time : float;
-  f_vpn : int;
-  f_band : int;
-  f_dropped : bool;
-  f_latency : float;  (** 0 for drops *)
-  f_seq : int;  (** per-shard observation order *)
-}
+    Which sources a replica arms, its fate log and its telemetry reset
+    are the runner's business: a shard only moves packets across the
+    cut. *)
 
 type result = {
-  r_id : int;
   r_snapshot : Mvpn_telemetry.Registry.snapshot;
       (** this domain's metric cells *)
-  r_fates : fate list;  (** in observation order *)
   r_leftover : Exchange.msg list;
       (** cross-shard packets arriving after the horizon, in
           deterministic {!ingest} order *)
   r_sent : int;  (** messages pushed to other shards *)
-  r_ingested : int;  (** messages scheduled into the local heap *)
   r_scenario : Mvpn_core.Scenario.t;
       (** the replica, for post-join traffic reports *)
 }
@@ -40,36 +32,15 @@ type result = {
 type t
 
 val create :
-  id:int ->
-  part:Partition.t ->
-  exchange:Exchange.t ->
-  build:(unit -> Mvpn_core.Scenario.t) ->
-  ?prepare:
-    (Mvpn_core.Scenario.t ->
-     (time:float -> vpn:int -> band:int -> dropped:bool ->
-      latency:float -> unit)
-     option) ->
-  arm:
-    (Mvpn_core.Scenario.t ->
-     only:(Mvpn_core.Site.t -> Mvpn_core.Site.t -> bool) ->
-     unit) ->
-  unit ->
+  id:int -> part:Partition.t -> exchange:Exchange.t -> Mvpn_core.Scenario.t ->
   t
-(** Builds the replica, zeroes this domain's metric cells for every
-    shard but 0 (so build-time counters — label allocations, FIB
-    installs — are counted exactly once across the merge), arms the
-    workload for owned source sites only, installs the cut-port
-    handoffs and the packet-fate hook. Shard 0 is the canonical replica
-    whose build telemetry survives.
-
-    [prepare] runs on the replica after the reset and before arming —
-    the hook point where the runner starts a per-replica timeline
-    sampler. Its optional return value is a fate tap, chained in front
-    of the shard's own fate recording. *)
+(** Wraps shard [id]'s replica, already built and armed by the runner
+    ({!Runner}'s one replica recipe), with what makes it a shard: its
+    outbound cut ports hand finished transmissions to [exchange]
+    instead of scheduling the propagation locally, and an inbox holds
+    what other shards send it until {!ingest} schedules it. *)
 
 val id : t -> int
-
-val engine : t -> Mvpn_sim.Engine.t
 
 val ingest : t -> bound:float -> inclusive:bool -> unit
 (** Drain inbound exchange channels into the sorted pending inbox, then

@@ -8,12 +8,7 @@ type storm = { seed : int; plan : Chaos.plan }
 let storm ?events ~seed (cfg : Runner.config) =
   let plan =
     Telemetry.Control.with_disabled (fun () ->
-        let sc =
-          Scenario.build ~pops:cfg.pops ~vpns:cfg.vpns
-            ~sites_per_vpn:cfg.sites_per_vpn ~seed:cfg.seed
-            (Scenario.Mpls_deployment
-               { policy = cfg.policy; use_te = cfg.use_te })
-        in
+        let sc = Runner.build cfg in
         Chaos.random_topology_plan ?events
           ~nodes:(Array.to_list (Backbone.pops (Scenario.backbone sc)))
           ~rng:(Mvpn_sim.Rng.create seed)

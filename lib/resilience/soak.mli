@@ -27,8 +27,8 @@ type storm = {
 val storm :
   ?events:int -> seed:int -> Mvpn_par.Runner.config -> storm
 (** Draw a {!Chaos.random_topology_plan} of [events] faults (default
-    12) over the config's workload duration, against a throwaway build
-    of its scenario made with telemetry off. The plan is drawn once and
+    12) over the config's workload duration, against a throwaway
+    {!Mvpn_par.Runner.build} of its scenario made with telemetry off. The plan is drawn once and
     closed over by every replica, so the same storm is valid at any
     shard count. *)
 

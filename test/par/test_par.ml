@@ -226,7 +226,7 @@ let test_clock_barrier_and_min_next () =
 let totals (o : Runner.outcome) =
   ( o.Runner.delivered, o.Runner.dropped, o.Runner.events,
     o.Runner.scheduled, o.Runner.classes, T.Slo.in_budget o.Runner.slo,
-    T.Slo.violation_count o.Runner.slo )
+    T.Slo.violation_count o.Runner.slo, T.Slo.to_json o.Runner.slo )
 
 let with_telemetry f =
   T.Control.enable ();
@@ -285,6 +285,80 @@ let test_runner_barrier_mode_parity () =
       Alcotest.(check bool) "totals still match" true
         (totals (Runner.run_sequential cfg) = totals par))
 
+(* A shard that raises must not leave its peers blocked on the clock:
+   the second replica armed (an atomic count of [prepare_replica] calls,
+   so exactly one shard) fails mid-run, and [run_parallel] must stop
+   every shard and re-raise it — in lookahead and in barrier mode. *)
+let test_runner_shard_failure_raises () =
+  List.iter
+    (fun core_delay ->
+       let calls = Atomic.make 0 in
+       let prepare sc =
+         if Atomic.fetch_and_add calls 1 = 1 then
+           Mvpn_sim.Engine.schedule (Mvpn_core.Scenario.engine sc)
+             ~delay:0.5 (fun () -> failwith "shard boom")
+       in
+       let cfg =
+         { (small_cfg ~pops:8 ~vpns:2 ~sites:2 ~seed:5) with
+           Runner.shards = 2; core_delay; prepare_replica = Some prepare }
+       in
+       with_telemetry (fun () ->
+           Alcotest.check_raises "first failure re-raised"
+             (Failure "shard boom") (fun () ->
+               ignore (Runner.run_parallel cfg))))
+    [ None; Some 0.0 ];
+  (* A negative core delay trips every shard's first propagation. *)
+  let cfg =
+    { (small_cfg ~pops:8 ~vpns:2 ~sites:2 ~seed:5) with
+      Runner.shards = 2; core_delay = Some (-1.0) }
+  in
+  with_telemetry (fun () ->
+      Alcotest.check_raises "negative delay re-raised"
+        (Invalid_argument "Engine.schedule: negative delay") (fun () ->
+          ignore (Runner.run_parallel cfg)))
+
+(* --- Fate_log ----------------------------------------------------------- *)
+
+(* The K-way merge orders by time, then by log (shard) index, then by
+   position within a log; equal times are where the three differ. *)
+let test_fate_log_merge_order () =
+  let log entries =
+    let l = Fate_log.create () in
+    List.iter
+      (fun (time, vpn) ->
+         Fate_log.add l ~time ~vpn ~band:0 ~dropped:false ~latency:0.0)
+      entries;
+    l
+  in
+  let logs =
+    [| log [ (1.0, 1); (1.0, 2); (3.0, 3) ];
+       log [ (0.5, 4); (1.0, 5) ];
+       log [ (1.0, 6); (2.0, 7) ] |]
+  in
+  let seen = ref [] in
+  Fate_log.merge logs (fun ~time:_ ~vpn ~band:_ ~dropped:_ ~latency:_ ->
+      seen := vpn :: !seen);
+  Alcotest.(check (list int)) "(time, shard, position) order"
+    [ 4; 1; 2; 5; 6; 7; 3 ] (List.rev !seen)
+
+let test_fate_log_roundtrip () =
+  let l = Fate_log.create () in
+  (* past the initial capacity, so the arrays grow *)
+  for i = 0 to 2999 do
+    Fate_log.add l ~time:(float_of_int i) ~vpn:(i mod 7) ~band:(i mod 4)
+      ~dropped:(i mod 3 = 0)
+      ~latency:(if i mod 3 = 0 then 0.0 else 1e-3 *. float_of_int i)
+  done;
+  let i = ref 0 in
+  Fate_log.merge [| l |] (fun ~time ~vpn ~band ~dropped ~latency ->
+      let k = !i in
+      if time <> float_of_int k || vpn <> k mod 7 || band <> k mod 4
+         || dropped <> (k mod 3 = 0)
+         || latency <> (if k mod 3 = 0 then 0.0 else 1e-3 *. float_of_int k)
+      then Alcotest.failf "entry %d did not round-trip" k;
+      incr i);
+  Alcotest.(check int) "every entry replayed" 3000 !i
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "par"
@@ -314,4 +388,9 @@ let () =
          Alcotest.test_case "K=8 deterministic" `Quick
            test_runner_k8_deterministic;
          Alcotest.test_case "barrier-mode parity" `Quick
-           test_runner_barrier_mode_parity ]) ]
+           test_runner_barrier_mode_parity;
+         Alcotest.test_case "a failing shard aborts the run" `Quick
+           test_runner_shard_failure_raises ]);
+      ("fate-log",
+       [ Alcotest.test_case "merge order" `Quick test_fate_log_merge_order;
+         Alcotest.test_case "round-trip" `Quick test_fate_log_roundtrip ]) ]

@@ -505,17 +505,45 @@ let test_soak_recipe_runs_agree () =
       (cv "audit.violations" - v0);
     ( (o.Runner.delivered, o.Runner.dropped),
       (o.Runner.classes,
-       (T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo)) )
+       (T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo,
+        T.Slo.to_json o.Runner.slo)) )
   in
   let totals =
     Alcotest.(
-      pair (pair int int) (pair (list (triple string int int)) (pair bool int)))
+      pair (pair int int)
+        (pair (list (triple string int int)) (triple bool int string)))
   in
   let first = run "seq 1" Runner.run_sequential in
   Alcotest.(check bool) "the storm drops packets" true (snd (fst first) > 0);
   Alcotest.check totals "second sequential run" first
     (run "seq 2" Runner.run_sequential);
   Alcotest.check totals "K=2 run" first (run "K=2" Runner.run_parallel)
+
+(* The whole replayed SLO — every objective's tallies, budgets and burn
+   rates, and the count of violation events fired along the way (the
+   JSON holds only the final state) — is shard-invariant under a storm that
+   drops packets: the sequential fate log and the K-way merge of the
+   shard logs feed the conformance engine the same observations. *)
+let test_soak_slo_json_shard_invariant () =
+  let cfg =
+    { Runner.default_config with
+      Runner.pops = 8; load = 1.4; duration = 20.0; diurnal = Some 8 }
+  in
+  let storm = Soak.storm ~events:24 ~seed:7 cfg in
+  let cfg = Soak.arm ~storm ~audit:1.0 cfg in
+  let seq = Runner.run_sequential cfg in
+  Alcotest.(check bool) "the storm drops packets" true (seq.Runner.dropped > 0);
+  let slo (o : Runner.outcome) =
+    ( T.Slo.violation_count o.Runner.slo, T.Slo.to_json o.Runner.slo )
+  in
+  let want = slo seq in
+  List.iter
+    (fun k ->
+       let o = Runner.run_parallel { cfg with Runner.shards = k } in
+       Alcotest.(check (pair int string))
+         (Printf.sprintf "K=%d violations and objectives" k)
+         want (slo o))
+    [ 2; 4 ]
 
 let qt t = QCheck_alcotest.to_alcotest t
 
@@ -551,4 +579,6 @@ let () =
            test_audit_start_validation ]);
       ("soak",
        [ Alcotest.test_case "back-to-back and K=2 runs agree" `Quick
-           (with_telemetry test_soak_recipe_runs_agree) ]) ]
+           (with_telemetry test_soak_recipe_runs_agree);
+         Alcotest.test_case "storm SLO JSON equal at K=1/2/4" `Quick
+           (with_telemetry test_soak_slo_json_shard_invariant) ]) ]

@@ -41,15 +41,8 @@ let () =
   Mvpn_telemetry.Control.enable ();
   let prev = Packet.pooling () in
   Packet.set_pooling true;
-  let horizon = cfg.Runner.duration +. 5.0 in
-  let sc, _, _ =
-    phase "build" (fun () ->
-        Scenario.build ~backend:cfg.Runner.backend ~pops:cfg.Runner.pops
-          ~vpns:cfg.Runner.vpns ~sites_per_vpn:cfg.Runner.sites_per_vpn
-          ~seed:cfg.Runner.seed
-          (Scenario.Mpls_deployment
-             { policy = cfg.Runner.policy; use_te = cfg.Runner.use_te }))
-  in
+  let horizon = Runner.horizon_of cfg in
+  let sc, _, _ = phase "build" (fun () -> Runner.build cfg) in
   let (), _, _ =
     phase "arm" (fun () ->
         Scenario.add_mixed_workload ~load:cfg.Runner.load

@@ -51,6 +51,7 @@ run tl_b.json "$mvpn" timeline --duration 5 --json
 run tl_k4.json "$mvpn" timeline --duration 5 --shards 4 --json
 run par_a.json "$mvpn" par --shards 4 --duration 2 --json
 run par_b.json "$mvpn" par --shards 4 --duration 2 --json
+run par_seq.json "$mvpn" par --seq --duration 2 --json
 run soak_a.json "$mvpn" soak --hours 0.002 --chaos 7 --json
 run soak_b.json "$mvpn" soak --hours 0.002 --chaos 7 --json
 run soak_k4.json "$mvpn" soak --hours 0.002 --chaos 7 --shards 4 --json
@@ -70,6 +71,11 @@ run usage_prov_customers.txt "$mvpn" provision --customers 0 2> /dev/null
 run usage_prov_flag.txt "$mvpn" provision --bogus-flag 2> /dev/null
 run usage_prov_pops.txt "$mvpn" provision --pops 99 2> /dev/null
 run usage_prov_churn.txt "$mvpn" provision --churn -1 2> /dev/null
+run usage_run_pops.txt "$mvpn" run --pops 2 2> /dev/null
+run usage_par_shards.txt "$mvpn" par --shards 0 2> /dev/null
+run usage_par_core_delay.txt "$mvpn" par --core-delay=-1 2> /dev/null
+run usage_tl_interval.txt "$mvpn" timeline --interval 0 2> /dev/null
+run usage_soak_segments.txt "$mvpn" soak --segments 0 2> /dev/null
 
 echo "== gate check $out"
 ./_build/default/tools/gate.exe check "$out"

@@ -285,12 +285,20 @@ let rows =
       List.map
         (fun s -> row "tl_a.json" (Present (At [ "series"; s ])) "no series")
         [ "ts.link.0.util"; "ts.slo.v1.b0.burn" ];
-      List.map (exit_code 0. "mvpn par failed") [ "par_a"; "par_b" ];
+      List.map (exit_code 0. "mvpn par failed") [ "par_a"; "par_b"; "par_seq" ];
       same "par_a.json" [ "par_b.json" ];
       [ row "par_a.json"
           (Same_tree (At [ "registry"; "counters" ], "stats.json",
                       At [ "counters" ]))
           "mvpn par counters diverge from the sequential mvpn stats run" ];
+      (* The partitioning contract at the CLI: K=4 lands on the
+         sequential run's totals, class sums and whole replayed SLO. *)
+      List.map
+        (fun k ->
+          row "par_a.json"
+            (Same_tree (At [ k ], "par_seq.json", At [ k ]))
+            ("mvpn par --shards 4 and --seq disagree on " ^ k))
+        [ "delivered"; "dropped"; "events"; "scheduled"; "classes"; "slo" ];
       present "e18.json"
         [ "e18.rate.base_pps"; "e18.rate.audit_pps"; "e18.rate.chaos_pps";
           "e18.audit.ticks" ]
@@ -382,7 +390,12 @@ let rows =
           ("usage_prov_customers", "provision --customers 0");
           ("usage_prov_flag", "provision --bogus-flag");
           ("usage_prov_pops", "provision --pops 99");
-          ("usage_prov_churn", "provision --churn -1") ] ]
+          ("usage_prov_churn", "provision --churn -1");
+          ("usage_run_pops", "run --pops 2");
+          ("usage_par_shards", "par --shards 0");
+          ("usage_par_core_delay", "par --core-delay=-1");
+          ("usage_tl_interval", "timeline --interval 0");
+          ("usage_soak_segments", "soak --segments 0") ] ]
 
 (* ---- evaluation ---- *)
 
