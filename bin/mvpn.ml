@@ -35,6 +35,7 @@ module Engine = Mvpn_sim.Engine
 module Topology = Mvpn_sim.Topology
 module Sla = Mvpn_qos.Sla
 module Telemetry = Mvpn_telemetry
+module Json = Mvpn_telemetry.Json
 
 module Runner = Mvpn_par.Runner
 
@@ -84,11 +85,12 @@ let pops_arg =
        & info ["pops"] ~docv:"N" ~doc:"Number of POPs.")
 
 let vpns_arg =
-  Arg.(value & opt int 2 & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs.")
+  Arg.(value & opt (int_conv ~what:"--vpns" ~lo:1 ()) 2
+       & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs.")
 
 let sites_arg =
-  Arg.(value & opt int 4 & info ["sites"] ~docv:"K"
-         ~doc:"Sites per VPN.")
+  Arg.(value & opt (int_conv ~what:"--sites" ~lo:1 ()) 4
+       & info ["sites"] ~docv:"K" ~doc:"Sites per VPN.")
 
 let policy_conv =
   Arg.enum
@@ -104,11 +106,11 @@ let policy_arg =
          ~doc:"Forwarding policy: best-effort, diffserv, diffserv-strict.")
 
 let load_arg =
-  Arg.(value & opt float 0.9 & info ["load"] ~docv:"L"
+  Arg.(value & opt pos_float_conv 0.9 & info ["load"] ~docv:"L"
          ~doc:"Offered load as a fraction of the access rate.")
 
 let duration_arg =
-  Arg.(value & opt float 30.0 & info ["duration"] ~docv:"SEC"
+  Arg.(value & opt pos_float_conv 30.0 & info ["duration"] ~docv:"SEC"
          ~doc:"Workload duration in simulated seconds.")
 
 let overlay_arg =
@@ -134,15 +136,24 @@ let scenario_term =
 
 (* --- outcome printers shared by par, timeline and soak ------------------ *)
 
-let jf v = if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
+let print_json v = print_string (Json.to_string v)
 
-let bprint_classes b (o : Runner.outcome) =
-  Printf.bprintf b "\"classes\":{%s},"
-    (String.concat ","
-       (List.map
-          (fun (l, s, r) ->
-             Printf.sprintf "\"%s\":{\"sent\":%d,\"received\":%d}" l s r)
-          o.classes))
+let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a))
+
+(* The members par and soak share: per-class sums, then the replayed
+   SLO verdict, to which [slo] appends. *)
+let verdict_json ?(slo = []) (o : Runner.outcome) =
+  [ ( "classes",
+      Json.Object
+        (List.map
+           (fun (l, s, r) ->
+              (l, Json.Object [ ("sent", Int s); ("received", Int r) ]))
+           o.classes) );
+    ( "slo",
+      Object
+        (( "in_budget", Json.Bool (Telemetry.Slo.in_budget o.slo) )
+         :: ("violations", Int (Telemetry.Slo.violation_count o.slo))
+         :: slo) ) ]
 
 let print_conformance (o : Runner.outcome) ~overall =
   Printf.printf "\nSLA conformance (merged fate replay):\n";
@@ -297,8 +308,7 @@ let stats_cmd =
     Scenario.run sc ~duration:(Runner.horizon_of cfg);
     Telemetry.Control.disable ();
     if json then
-      print_string
-        (Telemetry.Registry.to_json ~trace_events ~event_entries ())
+      print_json (Telemetry.Registry.to_json ~trace_events ~event_entries ())
     else begin
       print_reports sc;
       Printf.printf "\n";
@@ -373,15 +383,15 @@ let slo_cmd =
       let spans =
         match Network.span_sampler net with
         | Some s -> Telemetry.Span.sampler_to_json s
-        | None -> "[]"
+        | None -> Json.List []
       in
-      Printf.printf
-        "{\"schema\":%d,\"now\":%.9g,\"in_budget\":%b,\"objectives\":%s,\
-         \"events\":%s,\"spans\":%s}"
-        Telemetry.Registry.schema_version
-        (Engine.now engine) ok (Telemetry.Slo.to_json slo)
-        (Telemetry.Event_log.json_entries events)
-        spans
+      print_json
+        (Object
+           [ ("schema", Int Telemetry.Registry.schema_version);
+             ("now", Float (Engine.now engine)); ("in_budget", Bool ok);
+             ("objectives", Telemetry.Slo.to_json slo);
+             ("events", Telemetry.Event_log.json_entries events);
+             ("spans", spans) ])
     end
     else begin
       Printf.printf "SLA conformance after %.1fs (per vpn/band):\n"
@@ -443,7 +453,7 @@ let chaos_cmd =
     in
     Mvpn_resilience.Harness.run h;
     Telemetry.Control.disable ();
-    if json then print_string (Mvpn_resilience.Harness.summary_json h)
+    if json then print_json (Mvpn_resilience.Harness.summary_json h)
     else begin
       Mvpn_resilience.Harness.pp_summary Format.std_formatter h;
       Format.pp_print_flush Format.std_formatter ()
@@ -488,27 +498,17 @@ let par_cmd =
     in
     Telemetry.Control.disable ();
     if json then begin
-      let b = Buffer.create 8192 in
-      Printf.bprintf b
-        "{\"schema\":%d,\"shards\":%d,\"sizes\":[%s],\"cut_links\":%d,\
-         \"lookahead\":%b,"
-        Telemetry.Registry.schema_version o.shards
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int o.sizes)))
-        o.cut_links o.lookahead;
-      Printf.bprintf b
-        "\"delivered\":%d,\"dropped\":%d,\"events\":%d,\"scheduled\":%d,\
-         \"exchanged\":%d,\"leftover\":%d,\"overflow\":%d,"
-        o.delivered o.dropped o.events o.scheduled o.exchanged o.leftover
-        o.overflow;
-      bprint_classes b o;
-      Printf.bprintf b
-        "\"slo\":{\"in_budget\":%b,\"violations\":%d,\"objectives\":%s},"
-        (Telemetry.Slo.in_budget o.slo)
-        (Telemetry.Slo.violation_count o.slo)
-        (Telemetry.Slo.to_json o.slo);
-      Printf.bprintf b "\"registry\":%s}" o.registry_json;
-      print_string (Buffer.contents b)
+      print_json
+        (Object
+           ([ ("schema", Json.Int Telemetry.Registry.schema_version);
+              ("shards", Int o.shards); ("sizes", ints o.sizes);
+             ("cut_links", Int o.cut_links); ("lookahead", Bool o.lookahead);
+             ("delivered", Int o.delivered); ("dropped", Int o.dropped);
+             ("events", Int o.events); ("scheduled", Int o.scheduled);
+             ("exchanged", Int o.exchanged); ("leftover", Int o.leftover);
+             ("overflow", Int o.overflow) ]
+         @ verdict_json o ~slo:[ ("objectives", Telemetry.Slo.to_json o.slo) ]
+         @ [ ("registry", o.registry_json) ]))
     end
     else begin
       Printf.printf
@@ -630,31 +630,31 @@ let timeline_cmd =
         (sim_series @ derived)
     in
     if json then begin
-      let b = Buffer.create 65536 in
-      Printf.bprintf b "{\"schema\":%d,\"interval\":%s,\"horizon\":%s,\
-                        \"seed\":%d,\"series\":{"
-        Telemetry.Registry.schema_version (jf interval) (jf o.horizon)
-        cfg.seed;
-      List.iteri
-        (fun i (name, level, samples) ->
-           if i > 0 then Buffer.add_char b ',';
-           Printf.bprintf b "\"%s\":{\"level\":%d,\"samples\":[" name level;
-           Array.iteri
-             (fun j (t, v) ->
-                if j > 0 then Buffer.add_char b ',';
-                Printf.bprintf b "[%s,%s]" (jf t) (jf v))
-             samples;
-           Buffer.add_string b "]}")
-        all;
-      Buffer.add_string b "}}";
-      print_string (Buffer.contents b)
+      let series (name, level, samples) =
+        ( name,
+          Json.Object
+            [ ("level", Int level);
+              ( "samples",
+                List
+                  (Array.to_list
+                     (Array.map
+                        (fun (t, v) -> Json.List [ Float t; Float v ])
+                        samples)) ) ] )
+      in
+      print_json
+        (Object
+           [ ("schema", Int Telemetry.Registry.schema_version);
+             ("interval", Float interval); ("horizon", Float o.horizon);
+             ("seed", Int cfg.seed); ("series", Object (List.map series all)) ])
     end
     else if csv then begin
       print_string "time,series,value\n";
       List.iter
         (fun (name, _, samples) ->
            Array.iter
-             (fun (t, v) -> Printf.printf "%s,%s,%s\n" (jf t) name (jf v))
+             (fun (t, v) ->
+                Printf.printf "%s,%s,%s\n"
+                  (Json.to_string (Float t)) name (Json.to_string (Float v)))
              samples)
         all
     end
@@ -768,29 +768,28 @@ let soak_cmd =
     if json then begin
       (* Only shard-invariant material: equal seeds must give these
          exact bytes at every --shards K. *)
-      let b = Buffer.create 8192 in
-      Printf.bprintf b
-        "{\"schema\":%d,\"hours\":%s,\"duration\":%s,\"seed\":%d,\
-         \"load\":%s,\"segments\":%d,"
-        Telemetry.Registry.schema_version (jf hours) (jf duration) seed
-        (jf load) segments;
-      (match storm with
-       | Some { seed = cseed; plan } ->
-         Printf.bprintf b "\"chaos\":{\"seed\":%d,\"plan\":%s}," cseed
-           (Mvpn_resilience.Chaos.plan_json plan)
-       | None -> Buffer.add_string b "\"chaos\":null,");
-      Printf.bprintf b "\"delivered\":%d,\"dropped\":%d," o.delivered
-        o.dropped;
-      bprint_classes b o;
-      Printf.bprintf b
-        "\"slo\":{\"in_budget\":%b,\"violations\":%d},"
-        (Telemetry.Slo.in_budget o.slo)
-        (Telemetry.Slo.violation_count o.slo);
-      Printf.bprintf b
-        "\"audit\":{\"interval\":%s,\"ticks\":%d,\"violations\":%d},"
-        (jf audit_interval) audit_ticks audit_violations;
-      Printf.bprintf b "\"snapshots\":%d}" snapshots;
-      print_string (Buffer.contents b)
+      let chaos : Json.t =
+        match storm with
+        | Some { seed = cseed; plan } ->
+          Object
+            [ ("seed", Int cseed);
+              ("plan", Mvpn_resilience.Chaos.plan_json plan) ]
+        | None -> Null
+      in
+      print_json
+        (Object
+           ([ ("schema", Json.Int Telemetry.Registry.schema_version);
+              ("hours", Float hours); ("duration", Float duration);
+             ("seed", Int seed); ("load", Float load);
+             ("segments", Int segments); ("chaos", chaos);
+             ("delivered", Int o.delivered); ("dropped", Int o.dropped) ]
+         @ verdict_json o
+         @ [ ( "audit",
+               Object
+                 [ ("interval", Float audit_interval);
+                   ("ticks", Int audit_ticks);
+                   ("violations", Int audit_violations) ] );
+             ("snapshots", Int snapshots) ]))
     end
     else begin
       Printf.printf
@@ -987,46 +986,50 @@ let provision_cmd =
     let per_pe = P.Compile.per_pe t in
     let fp = P.Compile.fingerprint t in
     if json then begin
-      let b = Buffer.create 4096 in
-      Printf.bprintf b
-        "{\"schema\":%d,\"seed\":%d,\"pe_count\":%d,\"mode\":\"%s\",\
-         \"dist\":\"%s\","
-        Telemetry.Registry.schema_version seed pops
-        (if rr then "route-reflector" else "full-mesh")
-        (P.Portfolio.dist_name dist);
-      Printf.bprintf b
-        "\"portfolio\":{\"customers\":%d,\"sites\":%d,\
-         \"overlay_circuits\":%d},"
-        customers (P.Portfolio.site_count p) (P.Portfolio.overlay_circuits p);
-      Printf.bprintf b
-        "\"state\":{\"customers\":%d,\"sites\":%d,\"vrfs\":%d,\
-         \"groups\":%d,\"routes\":%d,\"table_entries\":%d,\
-         \"shared_entries\":%d,\"lsps\":%d,\"control_messages\":%d,\
-         \"rds\":%d,\"rts\":%d,\"bands\":[%s]},"
-        m.P.Compile.customers m.P.Compile.sites m.P.Compile.vrfs
-        m.P.Compile.groups m.P.Compile.routes m.P.Compile.table_entries
-        m.P.Compile.shared_entries m.P.Compile.lsps
-        m.P.Compile.control_messages m.P.Compile.rds m.P.Compile.rts
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int m.P.Compile.bands)));
-      Printf.bprintf b "\"per_pe\":[%s],"
-        (String.concat ","
-           (Array.to_list
-              (Array.mapi
-                 (fun pe (sites, entries) ->
-                    Printf.sprintf
-                      "{\"pe\":%d,\"sites\":%d,\"entries\":%d}" pe sites
-                      entries)
-                 per_pe)));
-      (match churn_result with
-       | None -> Buffer.add_string b "\"churn\":null,"
-       | Some (st, ok) ->
-         Printf.bprintf b
-           "\"churn\":{\"ops\":%d,\"touched_vrfs\":%d,\"messages\":%d,\
-            \"oracle_match\":%b},"
-           st.P.Delta.ops st.P.Delta.touched_vrfs st.P.Delta.messages ok);
-      Printf.bprintf b "\"fingerprint\":\"%s\"}" fp;
-      print_string (Buffer.contents b)
+      let churn : Json.t =
+        match churn_result with
+        | None -> Null
+        | Some (st, ok) ->
+          Object
+            [ ("ops", Int st.P.Delta.ops);
+              ("touched_vrfs", Int st.P.Delta.touched_vrfs);
+              ("messages", Int st.P.Delta.messages); ("oracle_match", Bool ok) ]
+      in
+      print_json
+        (Object
+           [ ("schema", Int Telemetry.Registry.schema_version);
+             ("seed", Int seed); ("pe_count", Int pops);
+             ("mode", String (if rr then "route-reflector" else "full-mesh"));
+             ("dist", String (P.Portfolio.dist_name dist));
+             ( "portfolio",
+               Object
+                 [ ("customers", Int customers);
+                   ("sites", Int (P.Portfolio.site_count p));
+                   ("overlay_circuits", Int (P.Portfolio.overlay_circuits p)) ]
+             );
+             ( "state",
+               Object
+                 [ ("customers", Int m.P.Compile.customers);
+                   ("sites", Int m.P.Compile.sites);
+                   ("vrfs", Int m.P.Compile.vrfs);
+                   ("groups", Int m.P.Compile.groups);
+                   ("routes", Int m.P.Compile.routes);
+                   ("table_entries", Int m.P.Compile.table_entries);
+                   ("shared_entries", Int m.P.Compile.shared_entries);
+                   ("lsps", Int m.P.Compile.lsps);
+                   ("control_messages", Int m.P.Compile.control_messages);
+                   ("rds", Int m.P.Compile.rds); ("rts", Int m.P.Compile.rts);
+                   ("bands", ints m.P.Compile.bands) ] );
+             ( "per_pe",
+               List
+                 (Array.to_list
+                    (Array.mapi
+                       (fun pe (sites, entries) ->
+                          Json.Object
+                            [ ("pe", Int pe); ("sites", Int sites);
+                              ("entries", Int entries) ])
+                       per_pe)) );
+             ("churn", churn); ("fingerprint", String fp) ])
     end
     else begin
       Printf.printf
@@ -1115,8 +1118,8 @@ let plan_cmd =
     report "capacity-aware" (Planning.route_capacity_aware topo demands)
   in
   let demands_arg =
-    Arg.(value & opt int 20 & info ["demands"] ~docv:"N"
-           ~doc:"Number of random demands.")
+    Arg.(value & opt (int_conv ~what:"--demands" ~lo:0 ()) 20
+         & info ["demands"] ~docv:"N" ~doc:"Number of random demands.")
   in
   let bw_arg =
     Arg.(value & opt float 8e6 & info ["bandwidth"] ~docv:"BPS"

@@ -348,10 +348,6 @@ let dequeue_null t =
   | Drr q -> dequeue_drr t q
   | Wfq _ -> dequeue_wfq t
 
-let dequeue t =
-  let p = dequeue_null t in
-  if p == Packet.null then None else Some p
-
 let backlog_bytes t = Array.fold_left (fun acc b -> acc + b.bytes) 0 t.bands
 
 let backlog_packets t =

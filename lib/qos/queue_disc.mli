@@ -55,13 +55,10 @@ val band_count : t -> int
 val enqueue : t -> cls:int -> Mvpn_net.Packet.t -> (unit, drop_reason) result
 (** Queue a packet on band [cls] (clamped to the last band). *)
 
-val dequeue : t -> Mvpn_net.Packet.t option
-(** Next packet per the scheduler; [None] when all bands are empty. *)
-
 val dequeue_null : t -> Mvpn_net.Packet.t
-(** [dequeue] without the option box: returns {!Mvpn_net.Packet.null}
-    (compare with [==]) when all bands are empty. The port service
-    loop calls this once per transmitted packet. *)
+(** Next packet per the scheduler, or {!Mvpn_net.Packet.null} (compare
+    with [==]) when all bands are empty — no option box, since the port
+    service loop calls this once per transmitted packet. *)
 
 val is_empty : t -> bool
 

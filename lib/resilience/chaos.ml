@@ -5,6 +5,7 @@ module Plane = Mvpn_mpls.Plane
 module Port = Mvpn_qos.Port
 module Network = Mvpn_core.Network
 module Telemetry = Mvpn_telemetry
+module Json = Mvpn_telemetry.Json
 
 let m_faults = Telemetry.Registry.counter "resilience.chaos.faults"
 
@@ -47,42 +48,27 @@ let pp_fault ppf = function
   | Session_drop { node; at } ->
     Format.fprintf ppf "@ %.3fs session_drop %d" at node
 
-let fault_json f =
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
-    ^ "}"
-  in
-  (* Lossless float rendering: shortest decimal that parses back to
-     the same double, so plan -> JSON -> plan is the identity and a
-     parsed plan replays byte-identically. *)
-  let fl x =
-    let s = Printf.sprintf "%.12g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
-  in
+(* Times and rates are [Exact]: printed losslessly, so plan -> JSON ->
+   plan is the identity and a parsed plan replays byte-identically. *)
+let fault_json f : Json.t =
+  let obj kind fields = Json.Object (("kind", Json.String kind) :: fields) in
+  let fl x = Json.Exact x and int n = Json.Int n in
   match f with
   | Link_flap { a; b; at; hold } ->
-    obj
-      [ ("kind", {|"link_flap"|}); ("at", fl at); ("a", string_of_int a);
-        ("b", string_of_int b); ("hold", fl hold) ]
+    obj "link_flap"
+      [ ("at", fl at); ("a", int a); ("b", int b); ("hold", fl hold) ]
   | Node_down { node; at; hold } ->
-    obj
-      [ ("kind", {|"node_down"|}); ("at", fl at);
-        ("node", string_of_int node); ("hold", fl hold) ]
+    obj "node_down" [ ("at", fl at); ("node", int node); ("hold", fl hold) ]
   | Loss_burst { a; b; at; duration; loss } ->
-    obj
-      [ ("kind", {|"loss_burst"|}); ("at", fl at); ("a", string_of_int a);
-        ("b", string_of_int b); ("duration", fl duration); ("loss", fl loss) ]
+    obj "loss_burst"
+      [ ("at", fl at); ("a", int a); ("b", int b); ("duration", fl duration);
+        ("loss", fl loss) ]
   | Corrupt_burst { a; b; at; duration; corrupt } ->
-    obj
-      [ ("kind", {|"corrupt_burst"|}); ("at", fl at); ("a", string_of_int a);
-        ("b", string_of_int b); ("duration", fl duration);
+    obj "corrupt_burst"
+      [ ("at", fl at); ("a", int a); ("b", int b); ("duration", fl duration);
         ("corrupt", fl corrupt) ]
   | Session_drop { node; at } ->
-    obj
-      [ ("kind", {|"session_drop"|}); ("at", fl at);
-        ("node", string_of_int node) ]
+    obj "session_drop" [ ("at", fl at); ("node", int node) ]
 
 (* Pareto hold times (shape 1.5, scale 50 ms): most faults are blips,
    a few hold long enough to force full reconvergence — the tail is
@@ -130,158 +116,55 @@ let random_plan ?(events = 12) ?(nodes = []) ~rng ~links ~duration () =
     (fun f g -> compare (fault_time f, f) (fault_time g, g))
     !faults
 
-let plan_json plan =
-  "[" ^ String.concat "," (List.map fault_json plan) ^ "]"
+let plan_json plan : Json.t = List (List.map fault_json plan)
 
-(* A minimal parser for exactly the shape [plan_json] emits — an array
-   of flat objects whose values are numbers or strings. Floats are
-   printed losslessly above, so [plan_of_json (plan_json p) = p] and a
-   parsed plan replays byte-identically. *)
+(* The inverse of [plan_json]: a walk over the parsed tree that wants
+   exactly the members [fault_json] writes. *)
 let plan_of_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error msg =
-    failwith (Printf.sprintf "Chaos.plan_of_json: %s at offset %d" msg !pos)
-  in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let peek () =
-    skip_ws ();
-    if !pos < n then Some s.[!pos] else None
-  in
-  let expect c =
-    if peek () = Some c then incr pos
-    else error (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then error "truncated escape";
-          (match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | 'n' -> Buffer.add_char b '\n'
-           | c -> error (Printf.sprintf "unsupported escape '\\%c'" c));
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_scalar () =
-    match peek () with
-    | Some '"' -> `S (parse_string ())
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then error "expected a value";
-      `N (String.sub s start (!pos - start))
-  in
-  let parse_obj () =
-    expect '{';
-    let fields = ref [] in
-    (match peek () with
-     | Some '}' -> incr pos
-     | _ ->
-       let rec go () =
-         let k = parse_string () in
-         expect ':';
-         fields := (k, parse_scalar ()) :: !fields;
-         match peek () with
-         | Some ',' ->
-           incr pos;
-           go ()
-         | Some '}' -> incr pos
-         | _ -> error "expected ',' or '}'"
-       in
-       go ());
-    List.rev !fields
-  in
-  let str fields k =
+  let error msg = failwith ("Chaos.plan_of_json: " ^ msg) in
+  let field fields k =
     match List.assoc_opt k fields with
-    | Some (`S v) -> v
-    | _ -> error (Printf.sprintf "missing string field %S" k)
+    | Some v -> v
+    | None -> error (Printf.sprintf "missing field %S" k)
   in
   let num fields k =
-    match List.assoc_opt k fields with
-    | Some (`N v) ->
-      (try float_of_string v
-       with Failure _ -> error (Printf.sprintf "bad number in %S" k))
-    | _ -> error (Printf.sprintf "missing numeric field %S" k)
+    match Json.number (field fields k) with
+    | Some x -> x
+    | None -> error (Printf.sprintf "field %S is not a number" k)
   in
-  let int_field fields k =
-    match List.assoc_opt k fields with
-    | Some (`N v) ->
-      (try int_of_string v
-       with Failure _ -> error (Printf.sprintf "bad integer in %S" k))
-    | _ -> error (Printf.sprintf "missing integer field %S" k)
+  let int fields k =
+    match field fields k with
+    | Json.Int n -> n
+    | _ -> error (Printf.sprintf "field %S is not an integer" k)
   in
-  let fault_of fields =
-    match str fields "kind" with
-    | "link_flap" ->
-      Link_flap
-        { a = int_field fields "a"; b = int_field fields "b";
-          at = num fields "at"; hold = num fields "hold" }
-    | "node_down" ->
-      Node_down
-        { node = int_field fields "node"; at = num fields "at";
-          hold = num fields "hold" }
-    | "loss_burst" ->
-      Loss_burst
-        { a = int_field fields "a"; b = int_field fields "b";
-          at = num fields "at"; duration = num fields "duration";
-          loss = num fields "loss" }
-    | "corrupt_burst" ->
-      Corrupt_burst
-        { a = int_field fields "a"; b = int_field fields "b";
-          at = num fields "at"; duration = num fields "duration";
-          corrupt = num fields "corrupt" }
-    | "session_drop" ->
-      Session_drop { node = int_field fields "node"; at = num fields "at" }
-    | k -> error (Printf.sprintf "unknown fault kind %S" k)
+  let fault_of = function
+    | Json.Object fields -> (
+      let at = num fields "at" in
+      match field fields "kind" with
+      | String "link_flap" ->
+        Link_flap
+          { a = int fields "a"; b = int fields "b"; at;
+            hold = num fields "hold" }
+      | String "node_down" ->
+        Node_down { node = int fields "node"; at; hold = num fields "hold" }
+      | String "loss_burst" ->
+        Loss_burst
+          { a = int fields "a"; b = int fields "b"; at;
+            duration = num fields "duration"; loss = num fields "loss" }
+      | String "corrupt_burst" ->
+        Corrupt_burst
+          { a = int fields "a"; b = int fields "b"; at;
+            duration = num fields "duration";
+            corrupt = num fields "corrupt" }
+      | String "session_drop" -> Session_drop { node = int fields "node"; at }
+      | String k -> error (Printf.sprintf "unknown fault kind %S" k)
+      | _ -> error "field \"kind\" is not a string")
+    | _ -> error "a fault is not an object"
   in
-  expect '[';
-  let faults = ref [] in
-  (match peek () with
-   | Some ']' -> incr pos
-   | _ ->
-     let rec go () =
-       faults := fault_of (parse_obj ()) :: !faults;
-       match peek () with
-       | Some ',' ->
-         incr pos;
-         go ()
-       | Some ']' -> incr pos
-       | _ -> error "expected ',' or ']'"
-     in
-     go ());
-  skip_ws ();
-  if !pos <> n then error "trailing input";
-  List.rev !faults
+  match Json.parse s with
+  | Ok (List faults) -> List.map fault_of faults
+  | Ok _ -> error "the plan is not an array"
+  | Error e -> error e
 
 (* Topology-only storms for sharded soaks: link flaps, session drops
    and node outages replicate byte-identically across shard replicas,

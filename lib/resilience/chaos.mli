@@ -81,16 +81,16 @@ val fault_time : fault -> float
 
 val pp_fault : Format.formatter -> fault -> unit
 
-val fault_json : fault -> string
-(** One JSON object per fault, stable field order, floats rendered
-    losslessly (shortest round-tripping decimal) — the replayable
+val fault_json : fault -> Mvpn_telemetry.Json.t
+(** One JSON object per fault, stable member order, times and rates as
+    lossless {!Mvpn_telemetry.Json.Exact} floats — the replayable
     scenario record [mvpn chaos --json] prints. *)
 
-val plan_json : plan -> string
+val plan_json : plan -> Mvpn_telemetry.Json.t
 (** The whole plan as a JSON array of {!fault_json} objects. *)
 
 val plan_of_json : string -> plan
-(** Parse exactly the shape {!plan_json} emits, structurally inverse:
-    [plan_of_json (plan_json p) = p], so a plan exported by one run can
-    be replayed byte-identically by another.
-    @raise Failure on malformed input. *)
+(** Read back the text of a printed {!plan_json}, structurally inverse:
+    [plan_of_json (Json.to_string (plan_json p)) = p], so a plan
+    exported by one run can be replayed byte-identically by another.
+    @raise Failure on malformed input or a member of the wrong kind. *)

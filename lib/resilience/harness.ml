@@ -9,6 +9,7 @@ module Site = Mvpn_core.Site
 module Qos_mapping = Mvpn_core.Qos_mapping
 module Port = Mvpn_qos.Port
 module Telemetry = Mvpn_telemetry
+module Json = Mvpn_telemetry.Json
 
 type t = {
   sc : Scenario.t;
@@ -84,16 +85,6 @@ let arm ?(events = 12) ?plan:plan_override ?recovery_config ~frr:frr_on
     plan;
   { sc; vpn; frr; recovery; plan; seed; duration }
 
-let default_pairs sc =
-  let sites = Scenario.sites sc in
-  let pairs = ref [] in
-  Array.iteri
-    (fun i a ->
-       if i mod 2 = 0 && i + 1 < Array.length sites then
-         pairs := (a, sites.(i + 1)) :: !pairs)
-    sites;
-  !pairs
-
 let build ?(pops = 12) ?(vpns = 2) ?(sites_per_vpn = 4) ?events
     ?recovery_config ?(load = 0.5) ~frr ~fallback ~seed ~duration () =
   let sc =
@@ -103,7 +94,8 @@ let build ?(pops = 12) ?(vpns = 2) ?(sites_per_vpn = 4) ?events
            use_te = false })
   in
   let t = arm ?events ?recovery_config ~frr ~fallback ~seed ~duration sc in
-  Scenario.add_mixed_workload ~load sc ~pairs:(default_pairs sc) ~duration;
+  Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
+    ~duration;
   t
 
 let run t = Scenario.run t.sc ~duration:(t.duration +. 5.0)
@@ -143,53 +135,27 @@ let event_kinds =
     "fallback_engaged"; "lsp_restored"; "flap_damped"; "flap_released";
     "resignal" ]
 
-let summary_json t =
-  let b = Buffer.create 4096 in
-  let net = Scenario.network t.sc in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":%d,\"seed\":%d,\"duration\":%.6f,\"frr\":%b,"
-       Telemetry.Registry.schema_version t.seed
-       t.duration (t.frr <> None));
-  Buffer.add_string b
-    (Printf.sprintf "\"fallback\":%b," (Mpls_vpn.ip_fallback t.vpn));
-  Buffer.add_string b "\"plan\":[";
-  Buffer.add_string b
-    (String.concat "," (List.map Chaos.fault_json t.plan));
-  Buffer.add_string b "],";
-  Buffer.add_string b
-    (Printf.sprintf "\"delivered\":%d,"
-       (Telemetry.Registry.counter_value "net.delivered"));
+let summary_json t : Json.t =
   let p = port_totals t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"port\":{\"offered\":%d,\"queue_drops\":%d,\
-        \"link_down_drops\":%d,\"fault_drops\":%d},"
-       p.port_offered p.port_queue p.port_link_down p.port_fault);
-  Buffer.add_string b "\"drops\":{";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun (reason, n) -> Printf.sprintf "%S:%d" reason n)
-          (Network.drop_counts net)));
-  Buffer.add_string b "},\"counters\":{";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun name ->
-             Printf.sprintf "%S:%d" name
-               (Telemetry.Registry.counter_value name))
-          resilience_counters));
-  Buffer.add_string b "},\"events\":{";
-  let events = Telemetry.Registry.events () in
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun kind ->
-             Printf.sprintf "%S:%d" kind
-               (Telemetry.Event_log.count_kind events kind))
-          event_kinds));
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  let ints l = Json.Object (List.map (fun (k, n) -> (k, Json.Int n)) l) in
+  let tally count keys = ints (List.map (fun k -> (k, count k)) keys) in
+  Object
+    [ ("schema", Int Telemetry.Registry.schema_version); ("seed", Int t.seed);
+      ("duration", Float t.duration); ("frr", Bool (t.frr <> None));
+      ("fallback", Bool (Mpls_vpn.ip_fallback t.vpn));
+      ("plan", Chaos.plan_json t.plan);
+      ("delivered", Int (Telemetry.Registry.counter_value "net.delivered"));
+      ( "port",
+        Object
+          [ ("offered", Int p.port_offered); ("queue_drops", Int p.port_queue);
+            ("link_down_drops", Int p.port_link_down);
+            ("fault_drops", Int p.port_fault) ] );
+      ("drops", ints (Network.drop_counts (Scenario.network t.sc)));
+      ("counters", tally Telemetry.Registry.counter_value resilience_counters);
+      ( "events",
+        tally
+          (Telemetry.Event_log.count_kind (Telemetry.Registry.events ()))
+          event_kinds ) ]
 
 let pp_summary ppf t =
   let p = port_totals t in

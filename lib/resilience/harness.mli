@@ -66,8 +66,8 @@ type port_totals = {
 val port_totals : t -> port_totals
 (** Terminal port fates summed over every link. *)
 
-val summary_json : t -> string
-(** Single-line JSON: seed, the full fault plan, delivered count, the
+val summary_json : t -> Mvpn_telemetry.Json.t
+(** One JSON object: seed, the full fault plan, delivered count, the
     per-reason drop table, port fates, every [resilience.*] counter and
     typed-event counts. Deterministic — same seed, same bytes. *)
 

@@ -114,63 +114,44 @@ let clear t =
 
 (* --- export ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-
-let entry_to_json e =
+let entry_to_json e : Json.t =
+  let int n = Json.Int n and float x = Json.Float x and str s = Json.String s in
   let detail =
     match e.event with
     | Slo_violation { vpn; band; dimension; value; bound }
     | Slo_recovered { vpn; band; dimension; value; bound } ->
-      Printf.sprintf
-        "\"vpn\":%d,\"band\":%d,\"dimension\":\"%s\",\"value\":%s,\"bound\":%s"
-        vpn band (json_escape dimension) (json_float value) (json_float bound)
+      [ ("vpn", int vpn); ("band", int band); ("dimension", str dimension);
+        ("value", float value); ("bound", float bound) ]
     | Alert_fire { vpn; band; burn_fast; burn_slow } ->
-      Printf.sprintf
-        "\"vpn\":%d,\"band\":%d,\"burn_fast\":%s,\"burn_slow\":%s" vpn band
-        (json_float burn_fast) (json_float burn_slow)
+      [ ("vpn", int vpn); ("band", int band); ("burn_fast", float burn_fast);
+        ("burn_slow", float burn_slow) ]
     | Alert_clear { vpn; band; burn_fast } ->
-      Printf.sprintf "\"vpn\":%d,\"band\":%d,\"burn_fast\":%s" vpn band
-        (json_float burn_fast)
+      [ ("vpn", int vpn); ("band", int band); ("burn_fast", float burn_fast) ]
     | Link_down { src; dst } | Link_up { src; dst }
     | Frr_switchover { src; dst } | Flap_released { src; dst } ->
-      Printf.sprintf "\"src\":%d,\"dst\":%d" src dst
-    | Recompile { node } -> Printf.sprintf "\"node\":%d" node
+      [ ("src", int src); ("dst", int dst) ]
+    | Recompile { node } -> [ ("node", int node) ]
     | Fault_injected { fault; a; b; param } ->
-      Printf.sprintf "\"fault\":\"%s\",\"a\":%d,\"b\":%d,\"param\":%s"
-        (json_escape fault) a b (json_float param)
+      [ ("fault", str fault); ("a", int a); ("b", int b);
+        ("param", float param) ]
     | Fallback_engaged { ingress; egress } | Lsp_restored { ingress; egress } ->
-      Printf.sprintf "\"ingress\":%d,\"egress\":%d" ingress egress
+      [ ("ingress", int ingress); ("egress", int egress) ]
     | Flap_damped { src; dst; flaps } ->
-      Printf.sprintf "\"src\":%d,\"dst\":%d,\"flaps\":%d" src dst flaps
+      [ ("src", int src); ("dst", int dst); ("flaps", int flaps) ]
     | Resignal { attempt; restored; still_down } ->
-      Printf.sprintf "\"attempt\":%d,\"restored\":%d,\"still_down\":%d"
-        attempt restored still_down
+      [ ("attempt", int attempt); ("restored", int restored);
+        ("still_down", int still_down) ]
     | Invariant_violated { invariant; detail } ->
-      Printf.sprintf "\"invariant\":\"%s\",\"detail\":\"%s\""
-        (json_escape invariant) (json_escape detail)
-    | Note text -> Printf.sprintf "\"text\":\"%s\"" (json_escape text)
+      [ ("invariant", str invariant); ("detail", str detail) ]
+    | Note text -> [ ("text", str text) ]
   in
-  Printf.sprintf "{\"seq\":%d,\"time\":%s,\"kind\":\"%s\",%s}" e.seq
-    (json_float e.time) (kind e.event) detail
+  Object
+    ([ ("seq", int e.seq); ("time", float e.time); ("kind", str (kind e.event)) ]
+     @ detail)
 
-let json_entries ?limit t =
+let json_entries ?limit t : Json.t =
   let es = match limit with Some n -> recent t n | None -> entries t in
-  "[" ^ String.concat "," (List.map entry_to_json es) ^ "]"
+  List (List.map entry_to_json es)
 
 let pp_event ppf = function
   | Slo_violation { vpn; band; dimension; value; bound } ->

@@ -90,7 +90,7 @@ val absorb : snapshot -> unit
 val snapshot_counter : snapshot -> string -> int
 (** The counter value captured in the snapshot; 0 when absent. *)
 
-val to_json : ?trace_events:int -> ?event_entries:int -> unit -> string
+val to_json : ?trace_events:int -> ?event_entries:int -> unit -> Json.t
 (** One JSON object: [{"schema":1,"counters":{...},"gauges":{...},
     "histograms":{...},"series":{...},"trace":[...],"events":[...]}].
     Each series renders as [{"scope":"sim"|"host","level":L,

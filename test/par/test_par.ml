@@ -226,7 +226,7 @@ let test_clock_barrier_and_min_next () =
 let totals (o : Runner.outcome) =
   ( o.Runner.delivered, o.Runner.dropped, o.Runner.events,
     o.Runner.scheduled, o.Runner.classes, T.Slo.in_budget o.Runner.slo,
-    T.Slo.violation_count o.Runner.slo, T.Slo.to_json o.Runner.slo )
+    T.Slo.violation_count o.Runner.slo, T.Json.to_string (T.Slo.to_json o.Runner.slo) )
 
 let with_telemetry f =
   T.Control.enable ();

@@ -10,6 +10,11 @@ module Topology = Mvpn_sim.Topology
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
 
+(* [Queue_disc.dequeue_null] with the sentinel decoded as [None]. *)
+let dequeue q =
+  let p = Queue_disc.dequeue_null q in
+  if p == Packet.null then None else Some p
+
 let packet ?(size = 1000) ?dscp ?(src = "10.0.0.1") ?(dst = "10.1.0.1")
     ?(proto = Flow.Udp) ?(dst_port = 0) () =
   Packet.make ?dscp ~size ~now:0.0
@@ -167,10 +172,10 @@ let test_fifo_order () =
   let p1 = packet () and p2 = packet () in
   ignore (Queue_disc.enqueue q ~cls:0 p1);
   ignore (Queue_disc.enqueue q ~cls:0 p2);
-  (match Queue_disc.dequeue q with
+  (match dequeue q with
    | Some p -> Alcotest.(check int) "fifo" p1.Packet.uid p.Packet.uid
    | None -> Alcotest.fail "empty");
-  match Queue_disc.dequeue q with
+  match dequeue q with
   | Some p -> Alcotest.(check int) "fifo 2" p2.Packet.uid p.Packet.uid
   | None -> Alcotest.fail "empty"
 
@@ -182,7 +187,7 @@ let test_priority_scheduler () =
   let low = packet () and high = packet () in
   ignore (Queue_disc.enqueue q ~cls:1 low);
   ignore (Queue_disc.enqueue q ~cls:0 high);
-  match Queue_disc.dequeue q with
+  match dequeue q with
   | Some p ->
     Alcotest.(check int) "band 0 first despite arriving later"
       high.Packet.uid p.Packet.uid
@@ -201,7 +206,7 @@ let test_priority_starvation () =
   done;
   let served_band1 = ref 0 in
   for _ = 1 to 10 do
-    match Queue_disc.dequeue q with
+    match dequeue q with
     | Some _ -> ()
     | None -> ()
   done;
@@ -220,7 +225,7 @@ let test_wrr_shares () =
     ignore (Queue_disc.enqueue q ~cls:1 (packet ()))
   done;
   for _ = 1 to 40 do
-    ignore (Queue_disc.dequeue q)
+    ignore (dequeue q)
   done;
   let s = Queue_disc.stats q in
   let d0 = s.(0).Queue_disc.dequeued and d1 = s.(1).Queue_disc.dequeued in
@@ -242,7 +247,7 @@ let test_drr_byte_fairness () =
     ignore (Queue_disc.enqueue q ~cls:1 (packet ~size:100 ()))
   done;
   for _ = 1 to 100 do
-    ignore (Queue_disc.dequeue q)
+    ignore (dequeue q)
   done;
   let s = Queue_disc.stats q in
   let b0 = s.(0).Queue_disc.bytes_sent and b1 = s.(1).Queue_disc.bytes_sent in
@@ -259,7 +264,7 @@ let test_wfq_weighted_bytes () =
     ignore (Queue_disc.enqueue q ~cls:1 (packet ~size:500 ()))
   done;
   for _ = 1 to 200 do
-    ignore (Queue_disc.dequeue q)
+    ignore (dequeue q)
   done;
   let s = Queue_disc.stats q in
   let b0 = s.(0).Queue_disc.bytes_sent and b1 = s.(1).Queue_disc.bytes_sent in
@@ -277,7 +282,7 @@ let test_wfq_work_conserving () =
   done;
   let served = ref 0 in
   let rec drain () =
-    match Queue_disc.dequeue q with
+    match dequeue q with
     | Some _ -> incr served; drain ()
     | None -> ()
   in
@@ -303,7 +308,7 @@ let test_wred_drops_worse_precedence_first () =
      | Error Queue_disc.Red_drop -> incr af13_drops
      | Error Queue_disc.Tail_drop | Ok () -> ());
     (* Keep the queue hovering: drain a bit. *)
-    ignore (Queue_disc.dequeue q)
+    ignore (dequeue q)
   done;
   Alcotest.(check bool) "red fired" true (!af13_drops > 0);
   Alcotest.(check bool) "out-of-profile dropped more" true
@@ -345,7 +350,7 @@ let qdisc_work_conservation =
             | Error _ -> ())
          items;
        let rec drain n =
-         match Queue_disc.dequeue q with
+         match dequeue q with
          | Some _ -> drain (n + 1)
          | None -> n
        in
@@ -356,7 +361,7 @@ let qdisc_work_conservation =
 
 let test_qdisc_empty_dequeue () =
   let q = Queue_disc.fifo ~capacity_bytes:1000 in
-  Alcotest.(check bool) "none" true (Queue_disc.dequeue q = None);
+  Alcotest.(check bool) "none" true (dequeue q = None);
   Alcotest.(check bool) "empty" true (Queue_disc.is_empty q)
 
 (* --- Cbq ---------------------------------------------------------------- *)

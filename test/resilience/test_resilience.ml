@@ -253,7 +253,7 @@ let chaos_fates seed =
   in
   Harness.run h;
   let net = Scenario.network (Harness.scenario h) in
-  ( String.concat "," (List.map Chaos.fault_json (Harness.plan h)),
+  ( T.Json.to_string (Chaos.plan_json (Harness.plan h)),
     cv "net.delivered" - d0,
     Harness.port_totals h,
     Network.drop_counts net )
@@ -353,11 +353,13 @@ let fault_gen =
         (pair node node) t (pair t frac);
       map2 (fun node at -> Chaos.Session_drop { node; at }) node t ]
 
+let plan_text plan = T.Json.to_string (Chaos.plan_json plan)
+
 let plan_roundtrip_property =
   QCheck.Test.make ~count:200 ~name:"chaos: plan -> json -> plan is identity"
-    (QCheck.make ~print:Chaos.plan_json
+    (QCheck.make ~print:plan_text
        QCheck.Gen.(list_size (int_range 0 10) fault_gen))
-    (fun plan -> Chaos.plan_of_json (Chaos.plan_json plan) = plan)
+    (fun plan -> Chaos.plan_of_json (plan_text plan) = plan)
 
 (* A plan that went through JSON drives the exact same storm: arm the
    harness on identical scenarios with the original and the re-parsed
@@ -381,10 +383,10 @@ let test_plan_replay_identity () =
     Scenario.add_mixed_workload ~load:0.5 sc
       ~pairs:(Scenario.default_pairs sc) ~duration:8.0;
     Harness.run h;
-    (Harness.plan h, Harness.summary_json h)
+    (Harness.plan h, T.Json.to_string (Harness.summary_json h))
   in
   let plan, s1 = run None in
-  let parsed = Chaos.plan_of_json (Chaos.plan_json plan) in
+  let parsed = Chaos.plan_of_json (plan_text plan) in
   Alcotest.(check bool) "parsed plan equals the drawn plan" true
     (parsed = plan);
   let _, s2 = run (Some parsed) in
@@ -506,7 +508,7 @@ let test_soak_recipe_runs_agree () =
     ( (o.Runner.delivered, o.Runner.dropped),
       (o.Runner.classes,
        (T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo,
-        T.Slo.to_json o.Runner.slo)) )
+        T.Json.to_string (T.Slo.to_json o.Runner.slo))) )
   in
   let totals =
     Alcotest.(
@@ -534,7 +536,7 @@ let test_soak_slo_json_shard_invariant () =
   let seq = Runner.run_sequential cfg in
   Alcotest.(check bool) "the storm drops packets" true (seq.Runner.dropped > 0);
   let slo (o : Runner.outcome) =
-    ( T.Slo.violation_count o.Runner.slo, T.Slo.to_json o.Runner.slo )
+    ( T.Slo.violation_count o.Runner.slo, T.Json.to_string (T.Slo.to_json o.Runner.slo) )
   in
   let want = slo seq in
   List.iter

@@ -169,7 +169,7 @@ let test_registry_json () =
       Counter.add c 3;
       Histogram.observe h 2.0;
       Hop_trace.record (Registry.trace ()) ~uid:7 ~time:1.5 ~node:4 "tx");
-  let json = Registry.to_json () in
+  let json = Json.to_string (Registry.to_json ()) in
   Alcotest.(check bool) "counter serialized" true
     (contains ~needle:"\"z.count\":3" json);
   Alcotest.(check bool) "histogram serialized" true
@@ -309,7 +309,7 @@ let test_event_log_kinds_and_clock () =
      Alcotest.(check string) "kind tag" "slo_violation"
        (Event_log.kind e.Event_log.event)
    | [] -> Alcotest.fail "entries expected");
-  let json = Event_log.json_entries l in
+  let json = Json.to_string (Event_log.json_entries l) in
   Alcotest.(check bool) "json has kinds" true
     (contains ~needle:"\"kind\":\"link_down\"" json
      && contains ~needle:"\"kind\":\"recompile\"" json)
@@ -393,8 +393,9 @@ let test_span_sampler () =
   Alcotest.(check int) "offered" 4 (Span.offered s);
   Alcotest.(check int) "kept" 3 (Span.kept s);
   Alcotest.(check bool) "json is an array" true
-    (String.length (Span.sampler_to_json s) > 2
-     && (Span.sampler_to_json s).[0] = '[');
+    (match Span.sampler_to_json s with
+     | Json.List (_ :: _) -> true
+     | _ -> false);
   Span.clear s;
   Alcotest.(check int) "cleared" 0 (Span.kept s)
 
@@ -487,7 +488,7 @@ let test_slo_gated_and_json () =
   Control.with_enabled (fun () ->
       Slo.observe_delivery t ~vpn:2 ~band:1 ~time:0.5 ~latency:0.001;
       Slo.advance t ~time:5.0);
-  let json = Slo.to_json t in
+  let json = Json.to_string (Slo.to_json t) in
   Alcotest.(check bool) "json carries the key" true
     (contains ~needle:"\"vpn\":2" json && contains ~needle:"\"band\":1" json);
   Control.with_enabled (fun () -> Slo.publish_gauges ~prefix:"t.slo" t);
@@ -644,6 +645,76 @@ let test_series_absorb_two_domains () =
   Alcotest.(check (float 1e-9)) "disjoint time kept as-is" 1.0 (at 7.0);
   Alcotest.(check (float 1e-9)) "equal times merge by sum" 3.0 (at 102.0)
 
+(* --- Json ----------------------------------------------------------------- *)
+
+let test_json_renderings () =
+  let text v = Json.to_string v in
+  Alcotest.(check string) "%.9g" "[0.1,10,1e+20,0,0]"
+    (text (List [ Float 0.1; Float 10.; Float 1e20; Float nan;
+                  Float infinity ]));
+  Alcotest.(check string) "lossless" "[0.1,0.30000000000000004,10,0]"
+    (text (List [ Exact 0.1; Exact (0.1 +. 0.2); Exact 10.;
+                  Exact neg_infinity ]));
+  Alcotest.(check string) "escapes" {|{"a\"b":"\\\n\u0001\u001f/é"}|}
+    (text (Object [ ("a\"b", String "\\\n\001\031/\195\169") ]));
+  Alcotest.(check bool) "decodes every escape" true
+    (Json.parse {|"\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00\ud800"|}
+     = Ok (String "\"\\/\b\012\n\r\t\195\169\240\159\152\128\239\191\189"));
+  Alcotest.(check bool) "int, float" true
+    (Json.parse "[3,-0,3.0,1e2,12345678901234567890]"
+     = Ok (List [ Int 3; Int 0; Float 3.; Float 100.;
+                  Float 12345678901234567890. ]));
+  Alcotest.(check (result unit string)) "line:col" (Error "2:2: malformed number")
+    (Result.map ignore (Json.parse "[1,\n -x]"))
+
+(* Trees whose numbers survive the printer exactly: ints, floats exact
+   at %.9g and lossless floats, and strings drawn from bytes that need
+   escaping. *)
+let json_gen =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [ (4, char_range 'a' 'z');
+        (3, oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '/'; '\127' ]);
+        (1, char_range '\128' '\255') ]
+  in
+  let str = string_size ~gen:char (int_range 0 8) in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.) float in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) (oneof [ small_signed_int; int ]);
+        map (fun x -> Json.Float (float_of_string (Printf.sprintf "%.9g" x)))
+          finite;
+        map (fun x -> Json.Exact x) finite;
+        map (fun s -> Json.String s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+      if n <= 1 then leaf
+      else
+        let kids = list_size (int_range 0 4) (self (n / 4)) in
+        frequency
+          [ (1, leaf); (2, map (fun l -> Json.List l) kids);
+            ( 2,
+              int_range 0 4 >>= fun k ->
+              map2
+                (fun ks vs -> Json.Object (List.combine ks vs))
+                (list_repeat k str) (list_repeat k (self (n / 4))) ) ])
+
+(* The round trip, on the envelope shape [gate lint --require-schema]
+   accepts: an object whose first member is a numeric "schema". *)
+let json_roundtrip_property =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string v) gives back v"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+       let doc = Json.Object [ ("schema", Int 1); ("v", v) ] in
+       let text = Json.to_string doc in
+       (not (String.contains text '\n'))
+       && match Json.parse text with
+       | Ok (Object (("schema", Int 1) :: _) as back) -> Json.equal back doc
+       | Ok _ | Error _ -> false)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick (wrap f) in
   Alcotest.run "telemetry"
@@ -689,4 +760,7 @@ let () =
        [ tc "spec validation" test_slo_spec_validation;
          tc "good traffic in budget" test_slo_good_traffic_stays_in_budget;
          tc "violation recovery alert" test_slo_violation_recovery_and_alert;
-         tc "gated and json" test_slo_gated_and_json ]) ]
+         tc "gated and json" test_slo_gated_and_json ]);
+      ("json",
+       [ tc "renderings" test_json_renderings;
+         QCheck_alcotest.to_alcotest json_roundtrip_property ]) ]

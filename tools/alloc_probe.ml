@@ -76,7 +76,8 @@ let () =
   in
   let events = Engine.processed (Scenario.engine sc) - e0 in
   let _, _, _ =
-    phase "registry-json" (fun () -> Registry.to_json ~trace_events:0 ())
+    phase "registry-json" (fun () ->
+        Mvpn_telemetry.Json.to_string (Registry.to_json ~trace_events:0 ()))
   in
   (* MVPN_PROBE_FULL=1 additionally times a whole
      [Runner.run_sequential] — build + arm + run + SLO replay +

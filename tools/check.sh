@@ -76,6 +76,10 @@ run usage_par_shards.txt "$mvpn" par --shards 0 2> /dev/null
 run usage_par_core_delay.txt "$mvpn" par --core-delay=-1 2> /dev/null
 run usage_tl_interval.txt "$mvpn" timeline --interval 0 2> /dev/null
 run usage_soak_segments.txt "$mvpn" soak --segments 0 2> /dev/null
+run usage_run_load.txt "$mvpn" run --load=-1 2> /dev/null
+run usage_stats_duration.txt "$mvpn" stats --duration nan 2> /dev/null
+run usage_plan_demands.txt "$mvpn" plan --demands=-1 2> /dev/null
+run usage_chaos_duration.txt "$mvpn" chaos --duration=-5 2> /dev/null
 
 echo "== gate check $out"
 ./_build/default/tools/gate.exe check "$out"

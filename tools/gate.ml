@@ -1,4 +1,5 @@
-(* Repository gate: one JSON parser and one table of assertions.
+(* Repository gate: one table of assertions over the JSON artifacts,
+   read through the project's one JSON parser, Mvpn_telemetry.Json.
 
    gate lint [--require-schema] < FILE
      Exits 0 if stdin is exactly one JSON value plus trailing
@@ -17,153 +18,20 @@
      the rows after it, and a metric that is absent or not a number
      fails as "missing", never compares as 0. *)
 
-(* Strings keep their escapes undecoded: the gate only compares them. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Syntax of int * string
-
-let number_re =
-  Str.regexp "-?\\(0\\|[1-9][0-9]*\\)\\(\\.[0-9]+\\)?\\([eE][-+]?[0-9]+\\)?"
-
-let parse s =
-  let n = String.length s and pos = ref 0 in
-  let fail msg = raise (Syntax (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      match peek () with Some (' ' | '\t' | '\n' | '\r') -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> fail (Printf.sprintf "expected %c, found %c" c d)
-    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
-  in
-  let literal word v =
-    let k = String.length word in
-    if !pos + k <= n && String.sub s !pos k = word then begin
-      pos := !pos + k;
-      v
-    end
-    else fail (Printf.sprintf "invalid literal (expected %s)" word)
-  in
-  let string () =
-    expect '"';
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' ->
-        advance ();
-        String.sub s start (!pos - start - 1)
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-         | Some 'u' ->
-           advance ();
-           for _ = 1 to 4 do
-             match peek () with
-             | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-             | _ -> fail "invalid \\u escape"
-           done
-         | _ -> fail "invalid escape");
-        go ()
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    if Str.string_match number_re s !pos then begin
-      let start = !pos in
-      pos := Str.match_end ();
-      Num (float_of_string (String.sub s start (!pos - start)))
-    end
-    else fail "malformed number"
-  in
-  (* [seq close what item]: the comma-separated items up to [close]. *)
-  let seq close what item =
-    advance ();
-    skip_ws ();
-    if peek () = Some close then begin
-      advance ();
-      []
-    end
-    else
-      let rec more acc =
-        let acc = item () :: acc in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          more acc
-        | Some c when c = close ->
-          advance ();
-          List.rev acc
-        | _ -> fail (Printf.sprintf "expected , or %c in %s" close what)
-      in
-      more []
-  in
-  let rec member () =
-    skip_ws ();
-    let k = string () in
-    skip_ws ();
-    expect ':';
-    (k, value ())
-  and value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (string ())
-    | Some '{' -> Obj (seq '}' "object" member)
-    | Some '[' -> Arr (seq ']' "array" value)
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-    | None -> fail "empty input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after JSON value";
-  v
+module Json = Mvpn_telemetry.Json
 
 (* [read ~schema text] is the tree, or a "line:col: message" error. *)
 let read ~schema s =
-  let at off msg =
-    let line = ref 1 and col = ref 1 in
-    String.iteri
-      (fun i c ->
-        if i < off then
-          if c = '\n' then begin
-            incr line;
-            col := 1
-          end
-          else incr col)
-      s;
-    Error (Printf.sprintf "%d:%d: %s" !line !col msg)
-  in
-  let need msg = at 0 ("--require-schema: " ^ msg) in
-  match parse s with
-  | exception Syntax (off, msg) -> at off msg
-  | t when not schema -> Ok t
-  | Obj (("schema", Num v) :: _) as t when v >= 0. -> Ok t
-  | Obj (("schema", _) :: _) -> need "\"schema\" is not a number"
-  | Obj _ -> need "first member is not \"schema\""
-  | _ -> need "top-level value is not an object"
+  let need msg = Error ("1:1: --require-schema: " ^ msg) in
+  match Json.parse s with
+  | Error _ as e -> e
+  | Ok t when not schema -> Ok t
+  | Ok (Object (("schema", v) :: _) as t) -> (
+    match Json.number v with
+    | Some v when v >= 0. -> Ok t
+    | _ -> need "\"schema\" is not a number")
+  | Ok (Object _) -> need "first member is not \"schema\""
+  | Ok _ -> need "top-level value is not an object"
 
 (* ---- the table ---- *)
 
@@ -185,7 +53,7 @@ type bound = Const of float | Times of float * path
 type test =
   | Present of path
   | Compare of measure * op * bound
-  | Equal of path * json
+  | Equal of path * Json.t
   | Same_bytes of string  (** byte-identical to another artifact *)
   | Same_tree of path * string * path  (** equal to another's subtree *)
 
@@ -211,19 +79,19 @@ let first art p key why = row art (Present (At (p @ [ "0"; key ]))) why
 let count art p re op n why =
   row art (Compare (Matches (p, re), op, Const n)) why
 
-let exit_code code why art = row (art ^ ".rc") (Equal (At [], Num code)) why
+let exit_code code why art = row (art ^ ".rc") (Equal (At [], Int code)) why
 
 let same art others =
   List.map (fun o -> row o (Same_bytes art) ("differs from " ^ art)) others
 
 let rows =
   List.concat
-    [ [ exit_code 0. "capacity_planning example failed" "capacity";
+    [ [ exit_code 0 "capacity_planning example failed" "capacity";
         count "capacity.txt" [] "worst observed links" Ge 1.
           "capacity_planning printed no worst-observed-links table";
         count "capacity.txt" [] "^    n[0-9]+ -> n[0-9]+  peak " Ge 1.
           "capacity_planning's worst-observed-links table is empty";
-        exit_code 0. "tools/pp_smoke.exe (Packet.pp) failed" "pp_smoke" ];
+        exit_code 0 "tools/pp_smoke.exe (Packet.pp) failed" "pp_smoke" ];
       present "e0.json" [ "e0.rate.cached_pps"; "e0.rate.uncached_pps" ]
         "missing E0 rate gauge";
       [ count "e6.json" [ "gauges" ] "^e6c\\.slo\\.vpn" Ge 1.
@@ -233,7 +101,7 @@ let rows =
         count "e6.json" []
           "^acct\\.vpn[0-9]+\\.band\\([4-9]\\|[0-9][0-9]+\\)\\($\\|[^0-9]\\)"
           Le 0. "accounting names a band outside 0..3";
-        exit_code 0. "mvpn slo out of budget on a healthy run" "slo";
+        exit_code 0 "mvpn slo out of budget on a healthy run" "slo";
         first "slo.json" [ "objectives" ] "vpn" "no slo records in mvpn slo";
         first "slo.json" [ "events" ] "seq" "empty event log in mvpn slo" ];
       present "e15.json"
@@ -241,13 +109,13 @@ let rows =
           "e15.frr.resilience.frr.switched" ]
         "missing E15 resilience metric";
       positive "e15.json" [ "resilience.chaos.faults" ] "E15 injected no fault";
-      List.map (exit_code 0. "mvpn chaos failed") [ "chaos_a"; "chaos_b" ];
+      List.map (exit_code 0 "mvpn chaos failed") [ "chaos_a"; "chaos_b" ];
       same "chaos_a.json" [ "chaos_b.json" ];
       [ first "chaos_a.json" [ "plan" ] "kind" "no fault plan in mvpn chaos";
         row "chaos_a.json"
-          (Equal (Metric "resilience.chaos.faults", Num 12.))
+          (Equal (Metric "resilience.chaos.faults", Int 12))
           "chaos fault counter wrong in mvpn chaos";
-        exit_code 0. "mvpn stats failed" "stats" ];
+        exit_code 0 "mvpn stats failed" "stats" ];
       present "stats.json"
         [ "fib.cache.hit"; "fib.cache.miss"; "ftn.cache.hit"; "ftn.cache.miss" ]
         "missing cache counter in mvpn stats";
@@ -280,12 +148,12 @@ let rows =
           "sim.profile.kind.port.propagate"; "sim.profile.kind.traffic.src" ]
         "missing dispatch-cost ledger gauge";
       positive "e16.json" [ "sim.profile.events" ] "profiled drain never ran";
-      List.map (exit_code 0. "mvpn timeline failed") ["tl_a"; "tl_b"; "tl_k4"];
+      List.map (exit_code 0 "mvpn timeline failed") ["tl_a"; "tl_b"; "tl_k4"];
       same "tl_a.json" [ "tl_b.json"; "tl_k4.json" ];
       List.map
         (fun s -> row "tl_a.json" (Present (At [ "series"; s ])) "no series")
         [ "ts.link.0.util"; "ts.slo.v1.b0.burn" ];
-      List.map (exit_code 0. "mvpn par failed") [ "par_a"; "par_b"; "par_seq" ];
+      List.map (exit_code 0 "mvpn par failed") [ "par_a"; "par_b"; "par_seq" ];
       same "par_a.json" [ "par_b.json" ];
       [ row "par_a.json"
           (Same_tree (At [ "registry"; "counters" ], "stats.json",
@@ -311,18 +179,18 @@ let rows =
         "the auditor never ran this check in E18";
       [ cmp "e18.json" "e18.events" Ge (Const 1e6) "audited soak too small";
         row "e18.json"
-          (Equal (Metric "e18.audit.violations", Num 0.))
+          (Equal (Metric "e18.audit.violations", Int 0))
           "invariant violations in the audited soak";
         (* CPU-seconds ratio, unaudited over audited soak, best of two
            interleaved runs each; the true ratio sits around 0.98. *)
         cmp "e18.json" "e18.overhead.audit" Ge (Const 0.95)
           "invariant auditor overhead out of budget" ];
       List.map
-        (exit_code 0. "mvpn soak reported invariant violations")
+        (exit_code 0 "mvpn soak reported invariant violations")
         [ "soak_a"; "soak_b"; "soak_k4" ];
       same "soak_a.json" [ "soak_b.json"; "soak_k4.json" ];
       [ row "soak_a.json"
-          (Equal (At [ "chaos"; "seed" ], Num 7.))
+          (Equal (At [ "chaos"; "seed" ], Int 7))
           "chaos seed not recorded in mvpn soak";
         first "soak_a.json" [ "chaos"; "plan" ] "kind" "no replayable plan";
         row "soak_a.json"
@@ -332,22 +200,22 @@ let rows =
           (Compare (Value (At [ "audit"; "ticks" ]), Gt, Const 0.))
           "auditor never ticked in mvpn soak";
         row "soak_a.json"
-          (Equal (At [ "audit"; "violations" ], Num 0.))
+          (Equal (At [ "audit"; "violations" ], Int 0))
           "audit violations in mvpn soak" ];
       List.map
-        (exit_code 0. "mvpn provision diverged from the from-scratch oracle")
+        (exit_code 0 "mvpn provision diverged from the from-scratch oracle")
         [ "prov_a"; "prov_b" ];
       same "prov_a.json" [ "prov_b.json" ];
       [ row "prov_a.json"
           (Equal (At [ "churn"; "oracle_match" ], Bool true))
           "incremental provisioning does not match the oracle";
         row "prov_a.json"
-          (Equal (At [ "per_pe"; "0"; "pe" ], Num 0.))
+          (Equal (At [ "per_pe"; "0"; "pe" ], Int 0))
           "no per-PE state table" ];
       (* The route-reflector run takes the MP-BGP back-fill and journal
          paths under the other session mode. *)
       List.map
-        (exit_code 0.
+        (exit_code 0
            "mvpn provision --rr diverged from the from-scratch oracle")
         [ "prov_rr_a"; "prov_rr_b" ];
       same "prov_rr_a.json" [ "prov_rr_b.json" ];
@@ -379,10 +247,10 @@ let rows =
           "site removal costs more than 5x an add";
         (* 0 = clean, 1 = out of budget or invariants violated, 124 =
            usage error (cmdliner): pinned so scripts can rely on them. *)
-        exit_code 1. "mvpn slo --chaos 2 must exit 1 (out of budget)"
+        exit_code 1 "mvpn slo --chaos 2 must exit 1 (out of budget)"
           "slo_chaos" ];
       List.map
-        (fun (art, cmd) -> exit_code 124. ("mvpn " ^ cmd ^ ": usage error") art)
+        (fun (art, cmd) -> exit_code 124 ("mvpn " ^ cmd ^ ": usage error") art)
         [ ("usage_slo_flag", "slo --bogus-flag");
           ("usage_soak_hours", "soak --hours -1");
           ("usage_soak_nan", "soak --hours nan");
@@ -395,7 +263,11 @@ let rows =
           ("usage_par_shards", "par --shards 0");
           ("usage_par_core_delay", "par --core-delay=-1");
           ("usage_tl_interval", "timeline --interval 0");
-          ("usage_soak_segments", "soak --segments 0") ] ]
+          ("usage_soak_segments", "soak --segments 0");
+          ("usage_run_load", "run --load=-1");
+          ("usage_stats_duration", "stats --duration nan");
+          ("usage_plan_demands", "plan --demands=-1");
+          ("usage_chaos_duration", "chaos --duration=-5") ] ]
 
 (* ---- evaluation ---- *)
 
@@ -404,12 +276,12 @@ let rec select v = function
   | k :: rest ->
     let children =
       match v with
-      | Obj ms ->
+      | Json.Object ms ->
         List.filter_map
           (fun (m, c) -> if k = "*" || m = k then Some c else None)
           ms
-      | Arr l when k = "*" -> l
-      | Arr l -> (
+      | List l when k = "*" -> l
+      | List l -> (
         match int_of_string_opt k with
         | Some i when i >= 0 -> Option.to_list (List.nth_opt l i)
         | _ -> [])
@@ -425,10 +297,10 @@ let find root = function
     | _ -> (match select root [ "gauges"; k ] with [ v ] -> Some v | _ -> None))
 
 let rec strings = function
-  | Str s -> [ s ]
-  | Arr l -> List.concat_map strings l
-  | Obj ms -> List.concat_map (fun (k, v) -> k :: strings v) ms
-  | Null | Bool _ | Num _ -> []
+  | Json.String s -> [ s ]
+  | List l -> List.concat_map strings l
+  | Object ms -> List.concat_map (fun (k, v) -> k :: strings v) ms
+  | Null | Bool _ | Int _ | Float _ | Exact _ -> []
 
 let path_name = function
   | Metric k -> k
@@ -439,13 +311,13 @@ let num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let show = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num v -> num v
-  | Str s -> "\"" ^ s ^ "\""
-  | Arr _ -> "[...]"
-  | Obj _ -> "{...}"
+let show (v : Json.t) =
+  match (v, Json.number v) with
+  | _, Some x -> num x
+  | String s, None -> "\"" ^ s ^ "\""
+  | List _, None -> "[...]"
+  | Object _, None -> "{...}"
+  | _, None -> Json.to_string v
 
 let subject = function
   | Equal (At [], _) -> "exit code"
@@ -479,7 +351,7 @@ let eval dir r =
   let root name =
     let s = bytes name in
     if Filename.check_suffix name ".txt" then
-      Arr (List.map (fun l -> Str l) (String.split_on_char '\n' s))
+      Json.List (List.map (fun l -> Json.String l) (String.split_on_char '\n' s))
     else
       match read ~schema:(Filename.check_suffix name ".json") s with
       | Ok v -> v
@@ -489,7 +361,9 @@ let eval dir r =
     match find (root name) p with Some v -> v | None -> missing (path_name p)
   in
   let number name p =
-    match value name p with Num v -> v | _ -> missing (path_name p)
+    match Json.number (value name p) with
+    | Some v -> v
+    | None -> missing (path_name p)
   in
   let bound = bound_text r.test in
   try
@@ -524,12 +398,12 @@ let eval dir r =
       (ok, num v, bound)
     | Equal (p, want) ->
       let v = value r.art p in
-      (v = want, show v, bound)
+      (Json.equal v want, show v, bound)
     | Same_bytes other ->
       let ok = bytes r.art = bytes other in
       (ok, (if ok then "identical" else "differs"), bound)
     | Same_tree (p, other, q) ->
-      let ok = value r.art p = value other q in
+      let ok = Json.equal (value r.art p) (value other q) in
       (ok, (if ok then "equal" else "differs"), bound)
   with Missing m -> (false, m, bound)
 
